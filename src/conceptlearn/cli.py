@@ -52,9 +52,14 @@ class RunManifest:
 
 def load_manifest(path: str) -> RunManifest:
     """Parse a key/value manifest: an [embeddings] section and a [concepts]
-    section, each mapping a unique name to a file path."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    section, each mapping a unique name to a file path. Names keep their
+    case and values are taken literally (no '%' interpolation)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise InputError(str(exc)) from exc
     if not read:
         raise InputError(f"cannot read manifest {path!r}")
     if "embeddings" not in parser or "concepts" not in parser:
@@ -83,15 +88,18 @@ def validate_manifest(manifest: RunManifest) -> None:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        iterations=args.iterations,
-        random_list_count=args.random_lists,
-        random_list_size=args.random_list_size,
-        master_seed=args.seed,
-        train=TrainConfig(),
-        normalize=args.normalize,
-        threshold=args.threshold,
-    )
+    try:
+        return ExperimentConfig(
+            iterations=args.iterations,
+            random_list_count=args.random_lists,
+            random_list_size=args.random_list_size,
+            master_seed=args.seed,
+            train=TrainConfig(),
+            normalize=args.normalize,
+            threshold=args.threshold,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _load_named_embedding(name: str, spec: EmbeddingSourceSpec):
@@ -99,12 +107,11 @@ def _load_named_embedding(name: str, spec: EmbeddingSourceSpec):
     return replace(store, name=name)
 
 
-def _resolve_concepts(manifest: RunManifest, store):
-    resolved = []
-    for name, path in manifest.concepts:
-        concept = load_concept(path, name)
-        resolved.append(resolve(concept, store))
-    return resolved
+def _evaluate_embedding(manifest: RunManifest, name: str, cfg, workers: int):
+    """Load one manifest embedding and run every manifest concept on it."""
+    store = _load_named_embedding(name, manifest.embedding(name))
+    resolved = [resolve(load_concept(path, c), store) for c, path in manifest.concepts]
+    return store, [run_concept(store, rc, cfg, workers=workers) for rc in resolved]
 
 
 def _write(outdir: str, filename: str, text: str) -> None:
@@ -121,12 +128,8 @@ def cmd_eval(args) -> int:
     for fmt in formats:
         if fmt not in FORMATS:
             raise InputError(f"unknown format {fmt!r} (choose from {','.join(FORMATS)})")
-    for name, spec in manifest.embeddings:
-        store = _load_named_embedding(name, spec)
-        resolved = _resolve_concepts(manifest, store)
-        aggregates = [
-            run_concept(store, rc, cfg, workers=args.workers) for rc in resolved
-        ]
+    for name, _ in manifest.embeddings:
+        store, aggregates = _evaluate_embedding(manifest, name, cfg, args.workers)
         null = run_null(store, cfg, workers=args.workers)
         if "txt" in formats:
             _write(args.out, f"{name}-eval.txt",
@@ -158,28 +161,10 @@ def cmd_compare(args) -> int:
     validate_manifest(manifest)
     cfg = _experiment_config(args)
     aucs = {}
-    resolved_names = {}
     for name in (args.embedding_a, args.embedding_b):
-        store = _load_named_embedding(name, manifest.embedding(name))
-        resolved = _resolve_concepts(manifest, store)
-        resolved_names[name] = [rc.concept.name for rc in resolved]
-        # shared split-stream key so per-concept AUCs are paired across the
-        # two embeddings (identical embeddings give exactly zero differences)
-        pair_key = f"pair:{args.embedding_a}:{args.embedding_b}"
-        resolved = [replace(rc, embedding_name=pair_key) for rc in resolved]
-        aucs[name] = {
-            rc.concept.name: run_concept(store, rc, cfg, workers=args.workers).means["auc"]
-            for rc in resolved
-        }
-    set_a = set(resolved_names[args.embedding_a])
-    set_b = set(resolved_names[args.embedding_b])
-    if set_a != set_b:
-        raise InputError(
-            "concept sets differ between embeddings: "
-            f"only in {args.embedding_a}: {sorted(set_a - set_b)}; "
-            f"only in {args.embedding_b}: {sorted(set_b - set_a)}"
-        )
-    names = resolved_names[args.embedding_a]
+        _, aggregates = _evaluate_embedding(manifest, name, cfg, args.workers)
+        aucs[name] = {agg.concept_name: agg.means["auc"] for agg in aggregates}
+    names = [n for n, _ in manifest.concepts]
     a = [aucs[args.embedding_a][n] for n in names]
     b = [aucs[args.embedding_b][n] for n in names]
     outcome, note = compare_outcome(a, b, args.alternative)
@@ -217,7 +202,10 @@ def cmd_gen_random_embedding(args) -> int:
     else:
         width = len(str(args.words - 1))
         vocab = [f"w{i:0{width}d}" for i in range(args.words)]
-    store = random_gaussian_embedding(vocab, args.dim, args.seed, name="gaussian")
+    try:
+        store = random_gaussian_embedding(vocab, args.dim, args.seed, name="gaussian")
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if args.normalize:
         store = normalize(store)
     save_embedding(store, args.out_file)

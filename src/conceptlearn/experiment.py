@@ -31,7 +31,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     normalize: bool = False
     threshold: float = 0.5
-    match_random_list_size: bool = False  # size-match null lists to the concept
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -197,9 +196,8 @@ def empirical_p_value(observed: float, null_values) -> float:
 def format_p_value(observed: float, null_values) -> str:
     """Paper-style rendering: '< 1/(N+1)' when nothing in the null reaches
     the observation, otherwise the add-one estimate to 3 decimals."""
-    null_values = np.asarray(null_values, dtype=np.float64)
-    exceed = int(np.sum(null_values >= observed))
-    p = (1 + exceed) / (1 + null_values.size)
-    if exceed == 0:
-        return f"< {1.0 / (null_values.size + 1):.3f}"
+    p = empirical_p_value(observed, null_values)
+    floor = 1 / (1 + np.size(null_values))
+    if p == floor:
+        return f"< {floor:.3f}"
     return f"{p:.3f}"

@@ -27,28 +27,47 @@ from .stats import WilcoxonOutcome
 COLUMNS = ("Size", "Accuracy", "Recall", "FPR", "Prec", "AUC")
 
 
-def config_header(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
-    """Effective-configuration lines embedded in every report so a third
-    party can replay the run."""
-    lines = [
-        f"seed = {cfg.master_seed}",
-        f"iterations = {cfg.iterations}",
-        f"random_lists = {cfg.random_list_count}",
-        f"random_list_size = {cfg.random_list_size}",
-        f"normalize = {cfg.normalize}",
-        f"threshold = {cfg.threshold}",
-        f"learning_rate = {cfg.train.learning_rate}",
-        f"epochs = {cfg.train.epochs}",
-        f"early_stop_tol = {cfg.train.early_stop_tol}",
-        f"l2 = {cfg.train.l2}",
+def config_record(cfg: ExperimentConfig) -> dict:
+    """The effective configuration, the one source of every report's config
+    lines and records, so a third party can replay the run."""
+    return {
+        "seed": cfg.master_seed,
+        "iterations": cfg.iterations,
+        "random_lists": cfg.random_list_count,
+        "random_list_size": cfg.random_list_size,
+        "normalize": cfg.normalize,
+        "threshold": cfg.threshold,
+        "train": asdict(cfg.train),
+    }
+
+
+def config_header(cfg: ExperimentConfig) -> list[str]:
+    """`config_record` as '# key = value' lines, `train` flattened, plus the
+    fixed protocol conventions."""
+    record = config_record(cfg)
+    train = record.pop("train")
+    lines = [f"{key} = {val}" for key, val in {**record, **train}.items()]
+    lines += [
         "split_policy = ceil-half train positives; "
         "train/test negatives drawn disjointly per iteration",
         "precision_convention = 0 when nothing is predicted positive",
         "p_value = add-one empirical estimate against the null AUCs",
     ]
-    for key, val in (extra or {}).items():
-        lines.append(f"{key} = {val}")
     return [f"# {line}" for line in lines]
+
+
+def _config_jsonl(embedding_name: str, cfg: ExperimentConfig) -> str:
+    return json.dumps(
+        {"record": "config", "embedding": embedding_name, **config_record(cfg)},
+        sort_keys=True,
+    )
+
+
+def _random_rows_jsonl(null: NullDistribution) -> list[str]:
+    return [
+        json.dumps({"record": label, "size": null.list_size, "means": row}, sort_keys=True)
+        for label, row in (("random_max", null.max_row), ("random_avg", null.mean_row))
+    ]
 
 
 def _metric_cells(row: dict[str, float]) -> list[str]:
@@ -117,22 +136,7 @@ def eval_report_jsonl(
 ) -> str:
     """Full-precision structured records, one JSON object per line."""
     null_aucs = [m["auc"] for m in null.per_list]
-    out = [
-        json.dumps(
-            {
-                "record": "config",
-                "embedding": embedding_name,
-                "seed": cfg.master_seed,
-                "iterations": cfg.iterations,
-                "random_lists": cfg.random_list_count,
-                "random_list_size": cfg.random_list_size,
-                "normalize": cfg.normalize,
-                "threshold": cfg.threshold,
-                "train": asdict(cfg.train),
-            },
-            sort_keys=True,
-        )
-    ]
+    out = [_config_jsonl(embedding_name, cfg)]
     for agg in aggregates:
         out.append(
             json.dumps(
@@ -149,12 +153,7 @@ def eval_report_jsonl(
                 sort_keys=True,
             )
         )
-    for label, row in (("random_max", null.max_row), ("random_avg", null.mean_row)):
-        out.append(
-            json.dumps(
-                {"record": label, "size": null.list_size, "means": row}, sort_keys=True
-            )
-        )
+    out += _random_rows_jsonl(null)
     return "\n".join(out) + "\n"
 
 
@@ -185,21 +184,7 @@ def null_report_text(
 def null_report_jsonl(
     embedding_name: str, null: NullDistribution, cfg: ExperimentConfig
 ) -> str:
-    out = [
-        json.dumps(
-            {
-                "record": "config",
-                "embedding": embedding_name,
-                "seed": cfg.master_seed,
-                "iterations": cfg.iterations,
-                "random_lists": cfg.random_list_count,
-                "random_list_size": null.list_size,
-            },
-            sort_keys=True,
-        ),
-        json.dumps({"record": "random_max", "means": null.max_row}, sort_keys=True),
-        json.dumps({"record": "random_avg", "means": null.mean_row}, sort_keys=True),
-    ]
+    out = [_config_jsonl(embedding_name, cfg)] + _random_rows_jsonl(null)
     for k, m in enumerate(null.per_list):
         out.append(json.dumps({"record": "null_list", "index": k, "means": m}, sort_keys=True))
     return "\n".join(out) + "\n"

@@ -44,17 +44,17 @@ class EvaluationSplit:
 
 
 def split_rng(
-    master_seed: int, concept_name: str, embedding_name: str, iteration_index: int
+    master_seed: int, concept_name: str, iteration_index: int
 ) -> np.random.Generator:
     """Splittable stream: one independent Philox stream per
-    (seed, concept, embedding, iteration), independent of execution order."""
+    (seed, concept, iteration), independent of execution order and of the
+    embedding, so every embedding sees the same draws for a concept.
+
+    The iteration is a spawn key under the (seed, concept) entropy that
+    `random_concept` uses, so a random list's word draw and its splits never
+    share a stream."""
     ss = np.random.SeedSequence(
-        [
-            master_seed & MASK64,
-            name_key(concept_name),
-            name_key(embedding_name),
-            iteration_index,
-        ]
+        [master_seed & MASK64, name_key(concept_name)], spawn_key=(iteration_index,)
     )
     return np.random.Generator(np.random.Philox(ss))
 
@@ -81,9 +81,7 @@ def make_split(
             f"vocabulary of {len(store)} too small for disjoint negatives "
             f"on a concept of {n} words"
         )
-    rng = split_rng(
-        master_seed, resolved.concept.name, resolved.embedding_name, iteration_index
-    )
+    rng = split_rng(master_seed, resolved.concept.name, iteration_index)
 
     n_train = math.ceil(n / 2)
     perm = rng.permutation(n)

@@ -1,8 +1,9 @@
 """Wilcoxon signed-rank test for paired embedding comparison.
 
-Exact tie-aware enumeration up to n = 20 pairs, normal approximation with
-tie correction beyond that, plus the classic critical-value lookup for the
-reject/accept decision style of older texts.
+Exact tie-aware p-values up to n = 20 pairs, normal approximation with tie
+correction beyond that, plus the classic critical-value lookup for the
+reject/accept decision style of older texts. The exact p-values and the
+critical values read one subset-sum count over doubled ranks.
 """
 
 from __future__ import annotations
@@ -49,12 +50,19 @@ class WilcoxonOutcome:
     alternative: str  # "greater", "less", "two-sided"
 
 
-def _sign_sums(ranks: np.ndarray) -> np.ndarray:
-    """Sums of every subset of `ranks` (the 2^n negative-rank sums)."""
-    sums = np.zeros(1)
-    for r in ranks:
-        sums = np.concatenate([sums, sums + r])
-    return sums
+def _subset_sum_counts(doubled_ranks) -> np.ndarray:
+    """counts[s] = number of subsets of `doubled_ranks` summing to s.
+
+    Average ranks are multiples of 1/2, so doubled ranks are exact integers
+    and this dynamic program gives the exact tie-aware null distribution of
+    2 * W (Streitberg & Roehmel 1986). Counts sum to 2^n.
+    """
+    total = int(sum(doubled_ranks))
+    counts = np.zeros(total + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled_ranks:
+        counts[r:] += counts[: total + 1 - r].copy()
+    return counts
 
 
 def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcome:
@@ -63,7 +71,7 @@ def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcom
     Differences of exactly zero are dropped; tied absolute differences get
     average ranks. `alternative="greater"` tests whether x tends to exceed y
     (small negative-rank sum); "less" is the mirror image. Exact p-values
-    enumerate all sign assignments over the actual rank multiset when the
+    count all sign assignments over the actual rank multiset when the
     effective sample size is at most 20.
     """
     if alternative not in ("greater", "less", "two-sided"):
@@ -85,18 +93,18 @@ def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcom
 
     if n <= EXACT_LIMIT:
         method = "exact"
-        sums = _sign_sums(ranks)
-        total = sums.size  # 2^n
-        # round defensively: average ranks are multiples of 0.5, exact in binary
-        p_greater = float(np.sum(sums <= w_minus + 1e-9)) / total
-        p_less = float(np.sum(sums <= w_plus + 1e-9)) / total
+        # average ranks are multiples of 0.5, so doubling makes them integers
+        cum = np.cumsum(_subset_sum_counts(np.rint(2 * ranks).astype(np.int64)))
+        total = 2**n
         if alternative == "greater":
-            p = p_greater
+            hits = cum[round(2 * w_minus)]
         elif alternative == "less":
-            p = p_less
+            hits = cum[round(2 * w_plus)]
         else:
-            w = min(w_plus, w_minus)
-            p = float(np.sum(np.minimum(sums, ranks.sum() - sums) <= w + 1e-9)) / total
+            # the null is symmetric, so each tail beyond min(W+, W-) holds
+            # cum[2w] sign assignments; the tails meet when W+ == W-
+            hits = min(2 * cum[round(2 * min(w_plus, w_minus))], total)
+        p = float(hits) / total
     else:
         method = "normal"
         mean = n * (n + 1) / 4.0
@@ -126,16 +134,9 @@ def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcom
 
 
 def null_distribution_counts(n: int) -> np.ndarray:
-    """Counts of the tie-free signed-rank statistic over sums 0..n(n+1)/2.
-
-    Dynamic program over ranks 1..n; counts sum to 2^n.
-    """
-    total = n * (n + 1) // 2
-    counts = np.zeros(total + 1, dtype=np.float64)
-    counts[0] = 1.0
-    for r in range(1, n + 1):
-        counts[r:] += counts[: total + 1 - r].copy()
-    return counts
+    """Counts of the tie-free signed-rank statistic over sums 0..n(n+1)/2;
+    counts sum to 2^n."""
+    return _subset_sum_counts(range(2, 2 * n + 1, 2))[::2]
 
 
 def critical_value(n: int, alpha: float, two_sided: bool = False) -> int | None:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_eval_format_parity(workspace, tmp_path):
         cells = line.split(",")
         means = by_name[cells[0]]["means"]
         for value, key in zip(cells[2:7], ("accuracy", "recall", "fpr", "precision", "auc")):
-            assert float(value) == pytest.approx(means[key], abs=5e-4)
+            assert value == f"{means[key]:.3f}"
 
 
 def test_eval_reruns_byte_identical(workspace, tmp_path):
@@ -202,3 +203,128 @@ def test_runtime_error_exit_code(workspace, tmp_path):
     m.write_text(f"[embeddings]\ng = {emb_path}\n[concepts]\nbig = {big}\n")
     rc = main(["eval", str(m)] + quick_args(tmp_path / "o"))
     assert rc == 2
+
+
+def _two_embedding_manifest(ws):
+    """The workspace concepts over two different embeddings of one vocabulary."""
+    store = random_gaussian_embedding([f"w{i:03d}" for i in range(120)], 6, seed=2)
+    other = ws / "other.txt"
+    other.write_text(
+        "\n".join(
+            w + " " + " ".join(f"{v:.9g}" for v in row)
+            for w, row in zip(store.vocabulary, store.vectors)
+        )
+        + "\n"
+    )
+    m = ws / "pair.ini"
+    m.write_text(
+        f"[embeddings]\ngauss = {ws / 'emb.txt'}\nother = {other}\n"
+        f"[concepts]\nalpha = {ws / 'ca.txt'}\nbeta = {ws / 'cb.txt'}\n"
+    )
+    return m
+
+
+def test_compare_aucs_equal_eval_table(workspace, tmp_path):
+    ws, _ = workspace
+    manifest = _two_embedding_manifest(ws)
+    out = tmp_path / "out"
+    assert main(["eval", str(manifest), "--format", "csv"] + quick_args(out)) == 0
+    assert main(["compare", str(manifest), "gauss", "other"] + quick_args(out)) == 0
+    compare = {
+        line.split()[0]: [cell.rstrip("*") for cell in line.split()[1:]]
+        for line in (out / "compare-gauss-other.txt").read_text().splitlines()
+        if line.startswith(("alpha", "beta"))
+    }
+    for column, name in enumerate(("gauss", "other")):
+        rows = (out / f"{name}-eval.csv").read_text().splitlines()
+        eval_auc = {
+            cells[0]: cells[6]
+            for cells in (r.split(",") for r in rows)
+            if cells[0] in ("alpha", "beta")
+        }
+        assert {c: v[column] for c, v in compare.items()} == eval_auc
+
+
+def test_every_report_carries_the_full_config(workspace, tmp_path):
+    ws, manifest = workspace
+    m2 = _two_embedding_manifest(ws)
+    out = tmp_path / "out"
+    flags = quick_args(out) + ["--normalize", "--threshold", "0.4"]
+    assert main(["eval", str(manifest)] + flags) == 0
+    assert main(["null", str(manifest)] + flags) == 0
+    assert main(["compare", str(m2), "gauss", "other"] + flags) == 0
+    train = {"learning_rate": 0.1, "epochs": 100, "early_stop_tol": 1e-6, "l2": 0.0}
+    expected = {
+        "seed": 3, "iterations": 4, "random_lists": 3, "random_list_size": 6,
+        "normalize": True, "threshold": 0.4, "train": train,
+    }
+    cfg = ExperimentConfig(
+        iterations=4, random_list_count=3, random_list_size=6, master_seed=3,
+        normalize=True, threshold=0.4,
+    )
+    assert report.config_record(cfg) == expected
+    flat = {k: v for k, v in expected.items() if k != "train"} | train
+    for name in ("gauss-eval.txt", "gauss-eval.csv", "gauss-null.txt",
+                 "compare-gauss-other.txt"):
+        header = (out / name).read_text().splitlines()
+        for key, value in flat.items():
+            assert f"# {key} = {value}" in header, (name, key)
+    for name in ("gauss-eval.jsonl", "gauss-null.jsonl"):
+        records = [json.loads(l) for l in (out / name).read_text().splitlines()]
+        config = records[0]
+        assert config["record"] == "config"
+        assert {k: config[k] for k in expected} == expected, name
+        sizes = {r["size"] for r in records if r["record"].startswith("random_")}
+        assert sizes == {6}, name
+
+
+def test_manifest_value_with_percent_sign(workspace, tmp_path):
+    ws, manifest = workspace
+    emb = ws / "emb%20v1.txt"
+    emb.write_bytes((ws / "emb.txt").read_bytes())
+    m = ws / "pct.ini"
+    m.write_text(f"[embeddings]\ngauss = {emb}\n[concepts]\nalpha = {ws / 'ca.txt'}\n")
+    assert load_manifest(str(m)).embeddings[0][1].path == str(emb)
+    assert main(["eval", str(m)] + quick_args(tmp_path / "o")) == 0
+
+
+def test_manifest_duplicate_key_is_input_error(workspace, tmp_path, capsys):
+    ws, _ = workspace
+    m = ws / "dup.ini"
+    m.write_text(
+        f"[embeddings]\ngauss = {ws / 'emb.txt'}\n"
+        f"[concepts]\nalpha = {ws / 'ca.txt'}\nalpha = {ws / 'cb.txt'}\n"
+    )
+    assert main(["eval", str(m)] + quick_args(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert str(m) in err and re.search(r"line\s+5\b", err)
+
+
+def test_manifest_names_keep_case(workspace, tmp_path):
+    ws, _ = workspace
+    m = ws / "case.ini"
+    m.write_text(
+        f"[embeddings]\nGauss = {ws / 'emb.txt'}\n[concepts]\nPosEmo = {ws / 'ca.txt'}\n"
+    )
+    manifest = load_manifest(str(m))
+    assert [n for n, _ in manifest.embeddings] == ["Gauss"]
+    assert [n for n, _ in manifest.concepts] == ["PosEmo"]
+    out = tmp_path / "o"
+    assert main(["eval", str(m), "--format", "csv"] + quick_args(out)) == 0
+    rows = (out / "Gauss-eval.csv").read_text().splitlines()
+    assert any(r.startswith("PosEmo,") for r in rows)
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--iterations", "0"), ("--random-list-size", "3")]
+)
+def test_invalid_experiment_flag_is_input_error(workspace, tmp_path, capsys, flag, value):
+    _, manifest = workspace
+    argv = ["eval", str(manifest)] + quick_args(tmp_path / "o") + [flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_random_embedding_zero_words_is_input_error(tmp_path, capsys):
+    assert main(["gen-random-embedding", str(tmp_path / "g.txt"), "--words", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conceptlearn import make_split, random_concept, random_gaussian_embedding
+from conceptlearn import make_split, random_concept, random_gaussian_embedding, split_rng
+from conceptlearn.embeddings import name_key
 
 
 def concept_of(store, size, seed=11):
@@ -86,3 +89,23 @@ def test_test_pos_membership_frequency(gaussian_store):
     sigma = np.sqrt(iters * p * (1 - p))
     for c in counts.values():
         assert abs(c - iters * p) <= 4 * sigma
+
+
+def test_split_independent_of_embedding_name(gaussian_store):
+    # common random numbers: the split stream is keyed by (seed, concept,
+    # iteration) only, so two embeddings over one vocabulary draw alike
+    other = replace(gaussian_store, name="another-name")
+    rc = concept_of(gaussian_store, 16)
+    rc_other = replace(rc, embedding_name=other.name)
+    for i in range(3):
+        assert make_split(rc, gaussian_store, i, 5) == make_split(rc_other, other, i, 5)
+
+
+def test_split_stream_differs_from_random_list_stream():
+    # random_concept draws its words from SeedSequence([seed, name_key(name)]);
+    # the iteration-0 split of that list must not replay the same stream
+    seed, name = 5, "random-0000"
+    draw = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence([seed, name_key(name)]))
+    )
+    assert not np.array_equal(split_rng(seed, name, 0).random(4), draw.random(4))

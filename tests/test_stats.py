@@ -117,6 +117,28 @@ def test_exact_matches_enumeration_oracle():
             assert ours == enumeration_oracle(d, alt), (trial, alt, d)
 
 
+def test_exact_matches_vectorized_enumeration_up_to_16():
+    rng = np.random.default_rng(5)
+    for trial in range(12):
+        n = int(rng.integers(13, 17))
+        d = rng.normal(size=n)
+        if trial % 2 == 0:  # heavy ties in |d|
+            d = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=n)
+        ranks = rankdata(np.abs(d))
+        w_plus, w_minus = ranks[d > 0].sum(), ranks[d < 0].sum()
+        signs = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        wm = signs @ ranks  # negative-rank sum of every sign assignment
+        wp = ranks.sum() - wm
+        expected = {
+            "greater": np.sum(wm <= w_minus + 1e-9) / 2**n,
+            "less": np.sum(wp <= w_plus + 1e-9) / 2**n,
+            "two-sided": np.sum(np.minimum(wm, wp) <= min(w_plus, w_minus) + 1e-9)
+            / 2**n,
+        }
+        for alt, p in expected.items():
+            assert wilcoxon_signed_rank(d, np.zeros(n), alt).p_value == p, (trial, alt)
+
+
 def test_normal_approximation_matches_scipy():
     from scipy.stats import wilcoxon as scipy_wilcoxon
 
@@ -150,6 +172,11 @@ def test_null_distribution_counts():
     counts = null_distribution_counts(3)
     assert counts.sum() == 8
     assert list(counts) == [1, 1, 1, 2, 1, 1, 1]
+    for n in range(2, 31):
+        counts = null_distribution_counts(n)
+        assert counts.size == n * (n + 1) // 2 + 1
+        assert counts.sum() == 2**n
+        assert np.array_equal(counts, counts[::-1])
 
 
 def test_critical_values_against_textbook():
