@@ -100,7 +100,8 @@ def load_embedding(spec: EmbeddingSourceSpec) -> EmbeddingStore:
     """Parse a `word v1 ... vd` text file into an EmbeddingStore.
 
     The dimension is fixed by the first data line; later lines with a
-    different count raise EmbeddingParseError naming the 1-based line number.
+    different count raise EmbeddingParseError naming the 1-based line number,
+    as do non-finite values (nan, inf, or beyond the storage dtype's range).
     Duplicate words keep the first occurrence and bump `skipped_duplicates`.
     Values are parsed as float64 and stored as float32 unless `dtype` says
     otherwise (see `load_embedding_dtype`).
@@ -117,6 +118,7 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
     words: list[str] = []
     seen: dict[str, int] = {}
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     skipped = 0
     dim = None
     fmt = spec.format
@@ -154,11 +156,20 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
             seen[word] = len(words)
             words.append(word)
             rows.append(vec)
+            linenos.append(lineno)
             if spec.max_words is not None and len(words) >= spec.max_words:
                 break
     if not words:
         raise EmbeddingParseError(f"{spec.path}: no vector records found")
-    mat = np.asarray(rows, dtype=dtype)
+    # checked once after the cast, so values that overflow the storage dtype
+    # (1e39 as float32) are caught with nan, inf and 1e999
+    with np.errstate(over="ignore"):
+        mat = np.asarray(rows, dtype=dtype)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise EmbeddingParseError(
+            f"{spec.path}:{linenos[bad[0]]}: non-finite vector component"
+        )
     return EmbeddingStore(
         name=spec.path,
         dimension=dim,
@@ -170,11 +181,14 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
 
 def save_embedding(store: EmbeddingStore, path: str, header: bool = False) -> None:
     """Write the store back as a text vector file (12 significant digits)."""
+    # per-row tolist() gives the digits of per-value formatting without a
+    # whole-matrix list of Python floats in memory
+    fmt = " ".join(["%.12g"] * store.dimension)
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"{len(store)} {store.dimension}\n")
         for word, row in zip(store.vocabulary, store.vectors):
-            fh.write(word + " " + " ".join(f"{v:.12g}" for v in row) + "\n")
+            fh.write(word + " " + fmt % tuple(row.tolist()) + "\n")
 
 
 def normalize(store: EmbeddingStore) -> EmbeddingStore:

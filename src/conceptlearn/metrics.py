@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 METRIC_NAMES = ("accuracy", "recall", "fpr", "precision", "auc")
 
@@ -26,6 +25,25 @@ class MetricsRecord:
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
+
+
+def rankdata(values) -> np.ndarray:
+    """Average ranks (1-based; tied values share the mean of their positions).
+
+    A drop-in for `scipy.stats.rankdata` with its default average method,
+    without importing scipy: average ranks are exact multiples of 1/2, so
+    the result is bitwise equal. Like scipy, any NaN makes every rank NaN.
+    """
+    values = np.ravel(np.asarray(values))
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    obs = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.empty(values.size, dtype=np.intp)
+    dense[order] = np.cumsum(obs)
+    count = np.r_[np.flatnonzero(obs), values.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def _validate(scores, labels):

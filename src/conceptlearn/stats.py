@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
+
+from .metrics import rankdata
 
 EXACT_LIMIT = 20
 
@@ -106,18 +107,22 @@ def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcom
             hits = min(2 * cum[round(2 * min(w_plus, w_minus))], total)
         p = float(hits) / total
     else:
+        # imported here so that the CLI, which rarely takes this branch, never
+        # pays for importing scipy; ndtr is the function behind norm.cdf
+        from scipy.special import ndtr
+
         method = "normal"
         mean = n * (n + 1) / 4.0
         _, counts = np.unique(ranks, return_counts=True)
         tie_term = float(np.sum(counts**3 - counts)) / 48.0
         sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
         if alternative == "greater":
-            p = float(norm.cdf((w_minus - mean + 0.5) / sd))
+            p = float(ndtr((w_minus - mean + 0.5) / sd))
         elif alternative == "less":
-            p = float(norm.cdf((w_plus - mean + 0.5) / sd))
+            p = float(ndtr((w_plus - mean + 0.5) / sd))
         else:
             w = min(w_plus, w_minus)
-            p = min(1.0, 2.0 * float(norm.cdf((w - mean + 0.5) / sd)))
+            p = min(1.0, 2.0 * float(ndtr((w - mean + 0.5) / sd)))
 
     w_stat = w_minus if alternative == "greater" else (
         w_plus if alternative == "less" else min(w_plus, w_minus)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +206,35 @@ def test_runtime_error_exit_code(workspace, tmp_path):
     m.write_text(f"[embeddings]\ng = {emb_path}\n[concepts]\nbig = {big}\n")
     rc = main(["eval", str(m)] + quick_args(tmp_path / "o"))
     assert rc == 2
+
+
+def test_non_finite_vector_is_input_error(workspace, tmp_path, capsys):
+    ws, _ = workspace
+    lines = (ws / "emb.txt").read_text().splitlines(keepends=True)
+    lines[6] = "w006 " + " ".join(["0.5"] * 5 + ["1e39"]) + "\n"  # inf as float32
+    emb = ws / "nonfinite.txt"
+    emb.write_text("".join(lines))
+    m = ws / "nonfinite.ini"
+    m.write_text(f"[embeddings]\ng = {emb}\n[concepts]\nalpha = {ws / 'ca.txt'}\n")
+    assert main(["eval", str(m)] + quick_args(tmp_path / "o")) == 1
+    assert f"{emb}:7: non-finite vector component" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import conceptlearn
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conceptlearn.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, conceptlearn, conceptlearn.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _two_embedding_manifest(ws):

@@ -46,6 +46,17 @@ def test_non_numeric_token(tmp_path):
         load_embedding(EmbeddingSourceSpec(path=str(p)))
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "1e39"])
+def test_non_finite_component_names_line(tmp_path, token):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"cat 1.0 2.0\n\ndog 3.0 4.0\nbird 1.0 {token}\nfish 5.0 6.0\n")
+    with pytest.raises(EmbeddingParseError, match=r"bad\.txt:4: non-finite"):
+        load_embedding(EmbeddingSourceSpec(path=str(p)))
+    if token == "1e39":  # beyond float32 only
+        store = load_embedding_dtype(EmbeddingSourceSpec(path=str(p)), np.float64)
+        assert store.lookup("bird")[1] == 1e39
+
+
 def test_empty_file(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("")
@@ -89,6 +100,34 @@ def test_round_trip(tmp_path):
     back = load_embedding_dtype(EmbeddingSourceSpec(path=str(out)), np.float64)
     assert back.vocabulary == store.vocabulary
     assert np.allclose(back.vectors, store.vectors, rtol=1e-11, atol=0)
+
+
+def _reference_text(store, header=False):
+    """Per-value f-string formatting that save_embedding must reproduce."""
+    lines = [f"{len(store)} {store.dimension}\n"] if header else []
+    for word, row in zip(store.vocabulary, store.vectors):
+        lines.append(word + " " + " ".join(f"{v:.12g}" for v in row) + "\n")
+    return "".join(lines)
+
+
+def test_save_embedding_bytes_match_per_value_format(tmp_path):
+    rng = np.random.default_rng(8)
+    special = [-0.0, 5e-324, 1e300, 1.0, 123456789012345.0, -2.5e-7]
+    mat = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 9, size=(40, 6))
+    mat[0] = special
+    f64 = EmbeddingStore(
+        name="f64", dimension=6, vocabulary=tuple(f"w{i}" for i in range(40)),
+        vectors=mat,
+    )
+    text = tmp_path / "in.txt"
+    text.write_text(_reference_text(f64).replace("1e+300", "1e+30"))
+    f32 = load_embedding(EmbeddingSourceSpec(path=str(text)))
+    assert f32.vectors.dtype == np.float32
+    for store in (f64, f32):
+        for header in (False, True):
+            out = tmp_path / f"{store.name}-{header}.txt"
+            save_embedding(store, str(out), header=header)
+            assert out.read_text(encoding="utf-8") == _reference_text(store, header)
 
 
 def test_lookup_oov_returns_none(tiny_store):

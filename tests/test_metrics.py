@@ -97,3 +97,26 @@ def test_evaluate_scores_fills_auc():
     rec = evaluate_scores([0.9, 0.1], [1, 0], 0.5)
     assert rec.auc == 1.0
     assert rec.as_dict()["auc"] == 1.0
+
+
+def test_rankdata_bitwise_equals_scipy():
+    from scipy.stats import rankdata as scipy_rankdata
+
+    from conceptlearn.metrics import rankdata
+
+    rng = np.random.default_rng(11)
+    scores = np.concatenate([rng.random(54), rng.random(178) * 0.2])  # AUC-shaped
+    cases = [
+        rng.random(300),
+        rng.integers(0, 12, size=400) / 7,  # tie-heavy
+        np.array([0.25]),
+        np.full(9, 3.5),
+        scores,
+        np.round(scores, 2),
+        np.array([0.3, np.nan, 0.1]),  # scipy propagates NaN to every rank
+    ]
+    for values in cases:
+        ours = rankdata(values)
+        ref = scipy_rankdata(values)
+        assert ours.dtype == ref.dtype == np.float64
+        assert np.array_equal(ours, ref, equal_nan=True)

@@ -154,6 +154,36 @@ def test_normal_approximation_matches_scipy():
         assert out.p_value == pytest.approx(ref, rel=1e-12)
 
 
+def test_normal_p_value_equals_norm_cdf():
+    # the normal branch imports scipy.special.ndtr lazily; its p-values must
+    # equal the scipy.stats.norm.cdf formula bit for bit
+    from scipy.stats import norm
+
+    rng = np.random.default_rng(21)
+    d = np.round(rng.normal(loc=0.2, size=30), 1)  # n >= 21, with ties
+    d = d[d != 0.0]
+    ranks = rankdata(np.abs(d))
+    n = d.size
+    mean = n * (n + 1) / 4.0
+    _, counts = np.unique(ranks, return_counts=True)
+    sd = np.sqrt(
+        n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(counts**3 - counts)) / 48.0
+    )
+    w_plus, w_minus = ranks[d > 0].sum(), ranks[d < 0].sum()
+    expected = {
+        "greater": float(norm.cdf((w_minus - mean + 0.5) / sd)),
+        "less": float(norm.cdf((w_plus - mean + 0.5) / sd)),
+        "two-sided": min(
+            1.0, 2.0 * float(norm.cdf((min(w_plus, w_minus) - mean + 0.5) / sd))
+        ),
+    }
+    assert n > 20
+    for alt, p in expected.items():
+        out = wilcoxon_signed_rank(d, np.zeros(n), alt)
+        assert out.method == "normal"
+        assert out.p_value == p, alt
+
+
 def test_published_auc_pairs_give_w_minus_5():
     out = wilcoxon_signed_rank(
         PUBLISHED_FASTTEXT_AUCS, PUBLISHED_GLOVE_AUCS, "greater"
