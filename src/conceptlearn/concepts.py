@@ -135,8 +135,9 @@ def random_concept(
 ) -> ResolvedConcept:
     """Uniform sample of `size` words (without replacement) from V minus
     `exclude`, packaged as an already-resolved concept."""
-    exclude = frozenset(exclude)
-    pool = [w for w in store.vocabulary if w not in exclude]
+    pool = np.delete(
+        np.arange(len(store)), [store.index[w] for w in exclude if w in store.index]
+    )
     if size > len(pool):
         raise ConceptError(
             f"cannot sample {size} words from {len(pool)} available"
@@ -145,7 +146,7 @@ def random_concept(
         np.random.Philox(np.random.SeedSequence([seed & (2**64 - 1), name_key(name)]))
     )
     picked = rng.choice(len(pool), size=size, replace=False)
-    words = tuple(sorted(pool[i] for i in picked))
+    words = tuple(sorted(store.vocabulary[i] for i in pool[picked]))
     concept = Concept(name=name, words=frozenset(words), source="random sample")
     return ResolvedConcept(
         concept=concept, embedding_name=store.name, in_vocab=words, dropped=()

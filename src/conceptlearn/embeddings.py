@@ -80,10 +80,6 @@ class EmbeddingStore:
             return None
         return self.vectors[i]
 
-    def rows(self, words) -> np.ndarray:
-        """Matrix of rows for in-vocabulary `words`; raises KeyError on OOV."""
-        return self.vectors[[self.index[w] for w in words]]
-
 
 def _looks_like_header(line: str) -> bool:
     toks = line.split()

@@ -67,7 +67,7 @@ def run_iteration(
     split = make_split(resolved, store, index, cfg.master_seed)
     try:
         model = train(split, store, cfg.train)
-        scores = score(model, store, split.test_words)
+        scores = score(model, store, split.test_rows)
         return evaluate_scores(scores, split.test_labels(), cfg.threshold)
     except Exception as exc:
         raise RuntimeError(

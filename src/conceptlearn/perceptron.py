@@ -67,20 +67,16 @@ def train(
     below `early_stop_tol`. Deterministic in all inputs. Accumulation is in
     float64 regardless of the store's dtype.
     """
-    X = np.asarray(store.rows(split.train_words), dtype=np.float64)
+    X = np.asarray(store.vectors[split.train_rows], dtype=np.float64)
     y = split.train_labels()
-    n, d = X.shape
 
-    theta = np.zeros(d)
+    theta = np.zeros(X.shape[1])
     bias = 0.0
     lr = cfg.learning_rate
     trace: list[float] = []
     prev = None
     for epoch in range(cfg.epochs):
-        z = X @ theta + bias
-        loss = cross_entropy(z, y)
-        if cfg.l2 > 0.0:
-            loss += cfg.l2 * float(theta @ theta)
+        loss, grad_theta, grad_bias = loss_and_gradient(X, y, theta, bias, cfg.l2)
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite training loss at epoch {epoch} (learning rate {lr})"
@@ -92,11 +88,6 @@ def train(
             elif prev - loss < cfg.early_stop_tol:
                 break
         prev = loss
-        resid = sigmoid(z) - y
-        grad_theta = X.T @ resid / n
-        grad_bias = float(np.mean(resid))
-        if cfg.l2 > 0.0:
-            grad_theta = grad_theta + 2.0 * cfg.l2 * theta
         theta = theta - lr * grad_theta
         bias = bias - lr * grad_bias
 
@@ -105,35 +96,33 @@ def train(
     )
 
 
-def score(model: PerceptronModel, store: EmbeddingStore, words) -> np.ndarray:
-    """Sigmoid scores in (0, 1) for `words`, order-preserving.
+def score(model: PerceptronModel, store: EmbeddingStore, rows) -> np.ndarray:
+    """Sigmoid scores in (0, 1) for the vocabulary `rows`, order-preserving.
 
-    A word's score is bitwise independent of the other words in the call,
+    A row's score is bitwise independent of the other rows in the call,
     including their order and how many there are. `X @ w` does not give that,
     since BLAS `dgemv` may sum a row in an order that depends on its position
     and on the batch size; `einsum` reduces each row on its own.
-
-    Splits only ever contain in-vocabulary words, so an OOV word here is a
-    bug upstream and raises.
     """
-    try:
-        X = np.asarray(store.rows(words), dtype=np.float64)
-    except KeyError as exc:
-        raise ValueError(f"word {exc.args[0]!r} not in embedding vocabulary") from None
+    X = np.asarray(store.vectors[rows], dtype=np.float64)
     return sigmoid(np.einsum("ij,j->i", X, model.weights) + model.bias)
 
 
 def loss_and_gradient(X, y, theta, bias, l2: float = 0.0):
-    """Mean cross-entropy and its analytic gradient w.r.t. (theta, bias).
+    """Mean cross-entropy plus `l2 * |theta|^2`, and its analytic gradient
+    w.r.t. (theta, bias).
 
-    Exposed for finite-difference verification.
+    The one loss `train` descends; the tests check it against finite
+    differences.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     z = X @ theta + bias
-    loss = cross_entropy(z, y) + l2 * float(theta @ theta)
+    loss = cross_entropy(z, y)
     resid = sigmoid(z) - y
-    grad_theta = X.T @ resid / len(y) + 2.0 * l2 * theta
-    grad_bias = float(np.mean(resid))
-    return loss, grad_theta, grad_bias
+    grad_theta = X.T @ resid / len(y)
+    if l2 > 0.0:
+        loss += l2 * float(theta @ theta)
+        grad_theta = grad_theta + 2.0 * l2 * theta
+    return loss, grad_theta, float(np.mean(resid))

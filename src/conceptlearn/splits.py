@@ -15,22 +15,24 @@ from .embeddings import EmbeddingStore, name_key
 MASK64 = 2**64 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationSplit:
-    train_pos: tuple[str, ...]
-    train_neg: tuple[str, ...]
-    test_pos: tuple[str, ...]
-    test_neg: tuple[str, ...]
+    """Vocabulary row indices of one iteration's four word sets."""
+
+    train_pos: np.ndarray
+    train_neg: np.ndarray
+    test_pos: np.ndarray
+    test_neg: np.ndarray
     iteration_index: int
     seed: int
 
     @property
-    def train_words(self) -> tuple[str, ...]:
-        return self.train_pos + self.train_neg
+    def train_rows(self) -> np.ndarray:
+        return np.concatenate([self.train_pos, self.train_neg])
 
     @property
-    def test_words(self) -> tuple[str, ...]:
-        return self.test_pos + self.test_neg
+    def test_rows(self) -> np.ndarray:
+        return np.concatenate([self.test_pos, self.test_neg])
 
     def train_labels(self) -> np.ndarray:
         return np.concatenate(
@@ -65,15 +67,15 @@ def make_split(
     iteration_index: int,
     master_seed: int,
 ) -> EvaluationSplit:
-    """One labeled train/test partition.
+    """One labeled train/test partition, as vocabulary row indices.
 
-    Positives: a uniform shuffle of the resolved words, first ceil(n/2) to
-    train (odd sizes favor training). Negatives: a single without-replacement
-    draw from V minus the concept, first |train_pos| to train and the rest to
-    test, so the two negative sets are disjoint within an iteration.
+    Positives: a uniform shuffle of the concept's rows (taken in `in_vocab`
+    order), first ceil(n/2) to train (odd sizes favor training). Negatives: a
+    single without-replacement draw from the rows of V minus the concept, in
+    vocabulary order, first |train_pos| to train and the rest to test, so the
+    two negative sets are disjoint within an iteration.
     """
-    words = resolved.in_vocab
-    n = len(words)
+    n = resolved.size
     if n < 4:
         raise ValueError(f"concept of {n} words is too small to split")
     if len(store) < 2 * n + 2:
@@ -82,23 +84,18 @@ def make_split(
             f"on a concept of {n} words"
         )
     rng = split_rng(master_seed, resolved.concept.name, iteration_index)
+    rows = np.array([store.index[w] for w in resolved.in_vocab], dtype=np.intp)
 
     n_train = math.ceil(n / 2)
-    perm = rng.permutation(n)
-    train_pos = tuple(words[i] for i in perm[:n_train])
-    test_pos = tuple(words[i] for i in perm[n_train:])
-
-    member = set(words)
-    pool = [w for w in store.vocabulary if w not in member]
-    neg_idx = rng.choice(len(pool), size=n, replace=False)
-    train_neg = tuple(pool[i] for i in neg_idx[:n_train])
-    test_neg = tuple(pool[i] for i in neg_idx[n_train:])
+    pos = rows[rng.permutation(n)]
+    pool = np.delete(np.arange(len(store)), rows)
+    neg = pool[rng.choice(len(pool), size=n, replace=False)]
 
     return EvaluationSplit(
-        train_pos=train_pos,
-        train_neg=train_neg,
-        test_pos=test_pos,
-        test_neg=test_neg,
+        train_pos=pos[:n_train],
+        train_neg=neg[:n_train],
+        test_pos=pos[n_train:],
+        test_neg=neg[n_train:],
         iteration_index=iteration_index,
         seed=master_seed,
     )

@@ -42,3 +42,8 @@ def pairwise_auc(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def rows_of(store, words):
+    """Vocabulary row indices of `words`, in the given order."""
+    return np.array([store.index[w] for w in words], dtype=np.intp)

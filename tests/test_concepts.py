@@ -10,6 +10,7 @@ from conceptlearn import (
     random_gaussian_embedding,
     resolve,
 )
+from conceptlearn.embeddings import name_key
 
 
 def write_list(tmp_path, text, name="list.txt"):
@@ -114,3 +115,27 @@ def test_random_concept_uniform():
     expected, sigma = draws / 10, np.sqrt(draws * 0.1 * 0.9)
     for c in counts.values():
         assert abs(c - expected) <= 4 * sigma
+
+
+def test_random_concept_matches_word_pool_reference():
+    # the word-pool draw the index complement replaced, kept as oracle
+    def reference(store, size, exclude, seed, name):
+        pool = [w for w in store.vocabulary if w not in frozenset(exclude)]
+        entropy = [seed & (2**64 - 1), name_key(name)]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        picked = rng.choice(len(pool), size=size, replace=False)
+        return tuple(sorted(pool[i] for i in picked))
+
+    vocab = [f"w{i:03d}" for i in range(150)]
+    order = np.random.default_rng(4).permutation(len(vocab))
+    store = random_gaussian_embedding([vocab[i] for i in order], 3, seed=1)
+    excludes = (
+        frozenset(),
+        frozenset(vocab[::3]) | {"oov-x", "oov-y"},
+        frozenset({"oov-only"}),
+    )
+    for exclude in excludes:
+        for size in (4, 7, 10, 31):
+            for seed in (0, 9, -1):
+                rc = random_concept(store, size, exclude=exclude, seed=seed, name="r")
+                assert rc.in_vocab == reference(store, size, exclude, seed, "r")

@@ -16,6 +16,7 @@ from conceptlearn import (
     train,
 )
 from conceptlearn.perceptron import PerceptronModel, cross_entropy
+from conftest import rows_of
 
 
 def store_from(vocab, rows):
@@ -25,14 +26,12 @@ def store_from(vocab, rows):
     )
 
 
-def manual_split(train_pos, train_neg, test_pos=None, test_neg=None):
+def manual_split(store, train_pos, train_neg):
+    """Split over the rows of the given words, testing on the training set."""
+    pos, neg = rows_of(store, train_pos), rows_of(store, train_neg)
     return EvaluationSplit(
-        train_pos=tuple(train_pos),
-        train_neg=tuple(train_neg),
-        test_pos=tuple(test_pos or train_pos),
-        test_neg=tuple(test_neg or train_neg),
-        iteration_index=0,
-        seed=0,
+        train_pos=pos, train_neg=neg, test_pos=pos, test_neg=neg,
+        iteration_index=0, seed=0,
     )
 
 
@@ -56,9 +55,9 @@ def test_sigmoid_symmetry_identity():
 def test_train_separable_two_points():
     # gradient at theta=0 pushes theta_1 up by lr*0.5 each epoch, monotonically
     store = store_from(["pos", "neg"], [[1.0, 0.0], [-1.0, 0.0]])
-    split = manual_split(["pos"], ["neg"])
+    split = manual_split(store, ["pos"], ["neg"])
     model = train(split, store, TrainConfig())
-    scores = score(model, store, ["pos", "neg"])
+    scores = score(model, store, rows_of(store, ["pos", "neg"]))
     assert scores[0] > 0.5 > scores[1]
     assert model.train_loss_trace[-1] < 0.3
     assert model.weights[0] > 0.0
@@ -66,16 +65,16 @@ def test_train_separable_two_points():
 
 def test_train_identical_inputs_mixed_labels():
     store = store_from(["a", "b"], [[1.0, 2.0], [1.0, 2.0]])
-    split = manual_split(["a"], ["b"])
+    split = manual_split(store, ["a"], ["b"])
     model = train(split, store, TrainConfig(epochs=500, early_stop_tol=0.0))
-    scores = score(model, store, ["a", "b"])
+    scores = score(model, store, rows_of(store, ["a", "b"]))
     assert np.allclose(scores, 0.5, atol=1e-9)
     assert abs(model.train_loss_trace[-1] - math.log(2)) <= 1e-9
 
 
 def test_train_single_epoch():
     store = store_from(["pos", "neg"], [[1.0, 0.0], [-1.0, 0.0]])
-    split = manual_split(["pos"], ["neg"])
+    split = manual_split(store, ["pos"], ["neg"])
     model = train(split, store, TrainConfig(epochs=1))
     assert model.epochs_run == 1
     assert len(model.train_loss_trace) == 1
@@ -115,63 +114,55 @@ def test_untrained_model_scores_half(gaussian_store):
         weights=np.zeros(gaussian_store.dimension), bias=0.0,
         train_loss_trace=(math.log(2),), epochs_run=0,
     )
-    words = gaussian_store.vocabulary[:7]
-    assert np.all(score(model, gaussian_store, words) == 0.5)
+    rows = rows_of(gaussian_store, gaussian_store.vocabulary[:7])
+    assert np.all(score(model, gaussian_store, rows) == 0.5)
 
 
 def test_score_order_preserving(gaussian_store):
     rc = random_concept(gaussian_store, 12, seed=4)
     split = make_split(rc, gaussian_store, 0, 0)
     model = train(split, gaussian_store, TrainConfig(epochs=10))
-    words = list(gaussian_store.vocabulary[:9])
-    direct = score(model, gaussian_store, words)
+    rows = rows_of(gaussian_store, gaussian_store.vocabulary[:9])
+    direct = score(model, gaussian_store, rows)
     perm = [4, 2, 0, 8, 6, 1, 3, 5, 7]
-    permuted = score(model, gaussian_store, [words[i] for i in perm])
+    permuted = score(model, gaussian_store, rows[perm])
     assert np.array_equal(permuted, direct[perm])
-    # a word's score is bitwise independent of its batch-mates and batch size
-    many = list(gaussian_store.vocabulary[:232])
+    # a row's score is bitwise independent of its batch-mates and batch size
+    many = rows_of(gaussian_store, gaussian_store.vocabulary[:232])
     batch = score(model, gaussian_store, many)
     assert np.array_equal(batch[:9], direct)
     shuffle = np.random.default_rng(0).permutation(len(many))
-    shuffled = score(model, gaussian_store, [many[i] for i in shuffle])
+    shuffled = score(model, gaussian_store, many[shuffle])
     assert np.array_equal(shuffled, batch[shuffle])
-    alone = np.array([score(model, gaussian_store, [w])[0] for w in many])
+    alone = np.array([score(model, gaussian_store, [r])[0] for r in many])
     assert np.array_equal(alone, batch)
-
-
-def test_score_oov_raises(gaussian_store):
-    model = PerceptronModel(
-        weights=np.zeros(gaussian_store.dimension), bias=0.0,
-        train_loss_trace=(0.7,), epochs_run=0,
-    )
-    with pytest.raises(ValueError, match="not in embedding vocabulary"):
-        score(model, gaussian_store, ["definitely-missing"])
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(17)
     step = 1e-5
-    for _ in range(25):
-        n = rng.integers(2, 21)
-        d = rng.integers(1, 11)
-        X = rng.normal(size=(n, d))
-        y = rng.integers(0, 2, size=n).astype(float)
-        if y.min() == y.max():
-            y[0] = 1 - y[0]
-        theta = rng.normal(scale=0.5, size=d)
-        bias = float(rng.normal(scale=0.5))
-        _, g_theta, g_bias = loss_and_gradient(X, y, theta, bias)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = step
-            lp, _, _ = loss_and_gradient(X, y, theta + e, bias)
-            lm, _, _ = loss_and_gradient(X, y, theta - e, bias)
+    for l2 in (0.0, 0.3):
+        for _ in range(25):
+            n = rng.integers(2, 21)
+            d = rng.integers(1, 11)
+            X = rng.normal(size=(n, d))
+            y = rng.integers(0, 2, size=n).astype(float)
+            if y.min() == y.max():
+                y[0] = 1 - y[0]
+            theta = rng.normal(scale=0.5, size=d)
+            bias = float(rng.normal(scale=0.5))
+            _, g_theta, g_bias = loss_and_gradient(X, y, theta, bias, l2)
+            for j in range(d):
+                e = np.zeros(d)
+                e[j] = step
+                lp, _, _ = loss_and_gradient(X, y, theta + e, bias, l2)
+                lm, _, _ = loss_and_gradient(X, y, theta - e, bias, l2)
+                fd = (lp - lm) / (2 * step)
+                assert abs(g_theta[j] - fd) <= 1e-5 * max(1.0, abs(fd))
+            lp, _, _ = loss_and_gradient(X, y, theta, bias + step, l2)
+            lm, _, _ = loss_and_gradient(X, y, theta, bias - step, l2)
             fd = (lp - lm) / (2 * step)
-            assert abs(g_theta[j] - fd) <= 1e-5 * max(1.0, abs(fd))
-        lp, _, _ = loss_and_gradient(X, y, theta, bias + step)
-        lm, _, _ = loss_and_gradient(X, y, theta, bias - step)
-        fd = (lp - lm) / (2 * step)
-        assert abs(g_bias - fd) <= 1e-5 * max(1.0, abs(fd))
+            assert abs(g_bias - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_scale_coupling_preserves_ordering():
@@ -182,13 +173,13 @@ def test_scale_coupling_preserves_ordering():
     vocab = [f"w{i}" for i in range(2 * n)]
     raw = store_from(vocab, X)
     scaled = store_from(vocab, c * X)
-    split = manual_split(vocab[:n], vocab[n:])
+    split = manual_split(raw, vocab[:n], vocab[n:])
     m_raw = train(split, raw, TrainConfig(learning_rate=0.1, early_stop_tol=0.0))
     m_scaled = train(
         split, scaled, TrainConfig(learning_rate=0.1 / c**2, early_stop_tol=0.0)
     )
-    s_raw = score(m_raw, raw, vocab)
-    s_scaled = score(m_scaled, scaled, vocab)
+    s_raw = score(m_raw, raw, rows_of(raw, vocab))
+    s_scaled = score(m_scaled, scaled, rows_of(scaled, vocab))
     assert np.array_equal(np.argsort(s_raw), np.argsort(s_scaled))
 
 

@@ -1,14 +1,30 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conceptlearn import make_split, random_concept, random_gaussian_embedding, split_rng
+from conceptlearn import (
+    Concept,
+    make_split,
+    random_concept,
+    random_gaussian_embedding,
+    resolve,
+    split_rng,
+)
 from conceptlearn.embeddings import name_key
+from conftest import rows_of
 
 
 def concept_of(store, size, seed=11):
     return random_concept(store, size, seed=seed, name=f"c{size}")
+
+
+ROW_FIELDS = ("train_pos", "train_neg", "test_pos", "test_neg")
+
+
+def same_rows(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ROW_FIELDS)
 
 
 def test_even_split_sizes(gaussian_store):
@@ -32,20 +48,21 @@ def test_odd_split_train_gets_extra(gaussian_store):
 def test_positives_partition_concept(gaussian_store):
     rc = concept_of(gaussian_store, 20)
     split = make_split(rc, gaussian_store, 0, 1)
-    assert set(split.train_pos) | set(split.test_pos) == set(rc.in_vocab)
-    assert not set(split.train_pos) & set(split.test_pos)
+    rows = set(rows_of(gaussian_store, rc.in_vocab).tolist())
+    assert set(split.train_pos.tolist()) | set(split.test_pos.tolist()) == rows
+    assert not set(split.train_pos.tolist()) & set(split.test_pos.tolist())
 
 
 def test_negatives_from_complement_and_disjoint(gaussian_store):
     rc = concept_of(gaussian_store, 20)
     split = make_split(rc, gaussian_store, 0, 1)
-    member = set(rc.in_vocab)
-    assert not set(split.train_neg) & member
-    assert not set(split.test_neg) & member
+    member = set(rows_of(gaussian_store, rc.in_vocab).tolist())
+    assert not set(split.train_neg.tolist()) & member
+    assert not set(split.test_neg.tolist()) & member
     lists = [split.train_pos, split.train_neg, split.test_pos, split.test_neg]
     for i in range(4):
         for j in range(i + 1, 4):
-            assert not set(lists[i]) & set(lists[j])
+            assert not set(lists[i].tolist()) & set(lists[j].tolist())
 
 
 def test_determinism_and_iteration_variation(gaussian_store):
@@ -54,9 +71,11 @@ def test_determinism_and_iteration_variation(gaussian_store):
     b = make_split(rc, gaussian_store, 5, 99)
     c = make_split(rc, gaussian_store, 6, 99)
     d = make_split(rc, gaussian_store, 5, 100)
-    assert a == b
-    assert a != c
-    assert a != d
+    assert same_rows(a, b)
+    assert (a.iteration_index, a.seed) == (b.iteration_index, b.seed)
+    # the row draws differ, not just the iteration/seed fields
+    assert not same_rows(a, c)
+    assert not same_rows(a, d)
 
 
 def test_labels(gaussian_store):
@@ -80,11 +99,11 @@ def test_test_pos_membership_frequency(gaussian_store):
     # each word should land in test_pos with probability |test_pos|/n
     rc = concept_of(gaussian_store, 10)
     iters = 2000
-    counts = {w: 0 for w in rc.in_vocab}
+    counts = {r: 0 for r in rows_of(gaussian_store, rc.in_vocab).tolist()}
     for i in range(iters):
         split = make_split(rc, gaussian_store, i, 7)
-        for w in split.test_pos:
-            counts[w] += 1
+        for r in split.test_pos.tolist():
+            counts[r] += 1
     p = 0.5
     sigma = np.sqrt(iters * p * (1 - p))
     for c in counts.values():
@@ -98,7 +117,10 @@ def test_split_independent_of_embedding_name(gaussian_store):
     rc = concept_of(gaussian_store, 16)
     rc_other = replace(rc, embedding_name=other.name)
     for i in range(3):
-        assert make_split(rc, gaussian_store, i, 5) == make_split(rc_other, other, i, 5)
+        a = make_split(rc, gaussian_store, i, 5)
+        b = make_split(rc_other, other, i, 5)
+        assert same_rows(a, b)
+        assert (a.iteration_index, a.seed) == (b.iteration_index, b.seed)
 
 
 def test_split_stream_differs_from_random_list_stream():
@@ -109,3 +131,40 @@ def test_split_stream_differs_from_random_list_stream():
         np.random.Philox(np.random.SeedSequence([seed, name_key(name)]))
     )
     assert not np.array_equal(split_rng(seed, name, 0).random(4), draw.random(4))
+
+
+def reference_split_words(resolved, store, iteration_index, master_seed):
+    """The word-pool `make_split` the row version replaced, kept as oracle:
+    same RNG calls, negatives drawn from a list of the non-member words."""
+    words = resolved.in_vocab
+    n = len(words)
+    rng = split_rng(master_seed, resolved.concept.name, iteration_index)
+    n_train = math.ceil(n / 2)
+    perm = rng.permutation(n)
+    member = set(words)
+    pool = [w for w in store.vocabulary if w not in member]
+    neg_idx = rng.choice(len(pool), size=n, replace=False)
+    return {
+        "train_pos": tuple(words[i] for i in perm[:n_train]),
+        "test_pos": tuple(words[i] for i in perm[n_train:]),
+        "train_neg": tuple(pool[i] for i in neg_idx[:n_train]),
+        "test_neg": tuple(pool[i] for i in neg_idx[n_train:]),
+    }
+
+
+def test_rows_match_word_pool_reference():
+    # vocabulary in shuffled (non-sorted) order, so `in_vocab` order, row
+    # order and word order all differ; concepts carry OOV words too
+    vocab = [f"w{i:03d}" for i in range(120)]
+    order = np.random.default_rng(8).permutation(len(vocab))
+    store = random_gaussian_embedding([vocab[i] for i in order], 3, seed=2)
+    for size in (4, 7, 10, 31):
+        picked = np.random.default_rng(size).choice(len(vocab), size, replace=False)
+        words = {vocab[i] for i in picked} | {"oov-a", "oov-b"}
+        rc = resolve(Concept(name=f"c{size}", words=frozenset(words)), store)
+        for it in range(5):
+            split = make_split(rc, store, it, 13)
+            ref = reference_split_words(rc, store, it, 13)
+            for f in ROW_FIELDS:
+                got = tuple(store.vocabulary[i] for i in getattr(split, f))
+                assert got == ref[f]
