@@ -45,6 +45,7 @@ from .perceptron import (
     score,
     sigmoid,
     train,
+    train_many,
 )
 from .splits import EvaluationSplit, make_split, split_rng
 from .stats import WilcoxonOutcome, critical_value, wilcoxon_signed_rank
@@ -91,5 +92,6 @@ __all__ = [
     "sigmoid",
     "split_rng",
     "train",
+    "train_many",
     "wilcoxon_signed_rank",
 ]

@@ -102,14 +102,16 @@ def _experiment_config(args) -> ExperimentConfig:
         raise InputError(str(exc)) from exc
 
 
-def _load_named_embedding(name: str, spec: EmbeddingSourceSpec):
-    store = load_embedding(spec)
-    return replace(store, name=name)
+def _load_named_embedding(name: str, spec: EmbeddingSourceSpec, cfg):
+    """Load a manifest embedding, normalized once here when cfg says so, so
+    that `run_concept` and `run_null` do not each rebuild the matrix."""
+    store = replace(load_embedding(spec), name=name)
+    return normalize(store) if cfg.normalize else store
 
 
 def _evaluate_embedding(manifest: RunManifest, name: str, cfg, workers: int):
     """Load one manifest embedding and run every manifest concept on it."""
-    store = _load_named_embedding(name, manifest.embedding(name))
+    store = _load_named_embedding(name, manifest.embedding(name), cfg)
     resolved = [resolve(load_concept(path, c), store) for c, path in manifest.concepts]
     return store, [run_concept(store, rc, cfg, workers=workers) for rc in resolved]
 
@@ -149,7 +151,7 @@ def cmd_null(args) -> int:
     cfg = _experiment_config(args)
     names = [n for n, _ in manifest.embeddings]
     name = args.embedding or names[0]
-    store = _load_named_embedding(name, manifest.embedding(name))
+    store = _load_named_embedding(name, manifest.embedding(name), cfg)
     null = run_null(store, cfg, workers=args.workers)
     _write(args.out, f"{name}-null.txt", report.null_report_text(name, null, cfg))
     _write(args.out, f"{name}-null.jsonl", report.null_report_jsonl(name, null, cfg))

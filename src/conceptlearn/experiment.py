@@ -3,11 +3,13 @@ random-list null distributions, and empirical p-values.
 
 Iterations and null lists are independent tasks seeded from the master seed,
 so results are identical whatever the worker count; aggregation is keyed by
-task index.
+task index. Iterations of a small concept are trained in stacks
+(`perceptron.train_many`), bitwise equal to training them one by one.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +20,7 @@ import numpy as np
 from .concepts import ResolvedConcept, random_concept
 from .embeddings import EmbeddingStore, normalize
 from .metrics import METRIC_NAMES, MetricsRecord, evaluate_scores
-from .perceptron import TrainConfig, score, train
+from .perceptron import TrainConfig, score, stack_size, train, train_many
 from .splits import make_split
 
 
@@ -67,12 +69,43 @@ def run_iteration(
     split = make_split(resolved, store, index, cfg.master_seed)
     try:
         model = train(split, store, cfg.train)
-        scores = score(model, store, split.test_rows)
-        return evaluate_scores(scores, split.test_labels(), cfg.threshold)
+        return _held_out_metrics(model, split, store, cfg)
     except Exception as exc:
-        raise RuntimeError(
-            f"iteration {index} of concept {resolved.concept.name!r} failed: {exc}"
-        ) from exc
+        raise _iteration_error(resolved, index, exc) from exc
+
+
+def _run_stacked(
+    store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, indices
+) -> list[MetricsRecord]:
+    """`run_iteration` for each index, with the fits trained as one stack.
+
+    The records are bitwise the serial ones. If any fit fails, the indices
+    are replayed through `run_iteration` in order, so the error raised is
+    the serial one too.
+    """
+    splits = [make_split(resolved, store, i, cfg.master_seed) for i in indices]
+    try:
+        models = train_many(splits, store, cfg.train)
+    except (FloatingPointError, ValueError):
+        return [run_iteration(store, resolved, cfg, i) for i in indices]
+    records = []
+    for split, model in zip(splits, models):
+        try:
+            records.append(_held_out_metrics(model, split, store, cfg))
+        except Exception as exc:
+            raise _iteration_error(resolved, split.iteration_index, exc) from exc
+    return records
+
+
+def _held_out_metrics(model, split, store, cfg: ExperimentConfig) -> MetricsRecord:
+    scores = score(model, store, split.test_rows)
+    return evaluate_scores(scores, split.test_labels(), cfg.threshold)
+
+
+def _iteration_error(resolved: ResolvedConcept, index: int, exc) -> RuntimeError:
+    return RuntimeError(
+        f"iteration {index} of concept {resolved.concept.name!r} failed: {exc}"
+    )
 
 
 # Worker-pool plumbing. Contexts live in module globals inherited through
@@ -82,9 +115,11 @@ def run_iteration(
 _CONTEXTS: dict[str, object] = {}
 
 
-def _iteration_task(index: int) -> MetricsRecord:
+def _iterations_task(indices: range) -> list[MetricsRecord]:
     store, resolved, cfg = _CONTEXTS["iter"]
-    return run_iteration(store, resolved, cfg, index)
+    if len(indices) == 1:
+        return [run_iteration(store, resolved, cfg, indices[0])]
+    return _run_stacked(store, resolved, cfg, indices)
 
 
 def _null_task(k: int) -> dict[str, float]:
@@ -118,13 +153,20 @@ def run_concept(
     workers: int = 1,
 ) -> AggregateResult:
     """Evaluate one concept: cfg.iterations independent split/train/test
-    passes, aggregated to per-metric mean and sample standard deviation."""
+    passes, aggregated to per-metric mean and sample standard deviation.
+
+    Small concepts train their iterations in stacks of `stack_size`, cut so
+    every worker gets one; the records do not depend on the cut."""
     if cfg.normalize:
         store = normalize(store)
-    records = _map_tasks(
-        _iteration_task, "iter", (store, resolved, cfg), range(cfg.iterations), workers
+    n = cfg.iterations
+    train_rows = 2 * math.ceil(resolved.size / 2)
+    k = min(stack_size(train_rows, store.dimension), math.ceil(n / max(1, workers)))
+    chunks = [range(i, min(i + k, n)) for i in range(0, n, k)]
+    per_chunk = _map_tasks(
+        _iterations_task, "iter", (store, resolved, cfg), chunks, workers
     )
-    return _aggregate(resolved, records)
+    return _aggregate(resolved, [r for records in per_chunk for r in records])
 
 
 def _aggregate(resolved: ResolvedConcept, records) -> AggregateResult:

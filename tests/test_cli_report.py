@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ import pytest
 from conceptlearn import (
     ExperimentConfig,
     TrainConfig,
+    load_concept,
     random_concept,
     random_gaussian_embedding,
+    resolve,
     run_concept,
     run_null,
 )
@@ -104,6 +107,51 @@ def test_eval_reruns_byte_identical(workspace, tmp_path):
     main(["eval", str(manifest)] + quick_args(out2))
     for name in ("gauss-eval.txt", "gauss-eval.csv", "gauss-eval.jsonl"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_eval_normalizes_once_per_embedding(workspace, tmp_path, monkeypatch):
+    from conceptlearn import cli, embeddings, experiment
+
+    ws, manifest = workspace
+    gamma = ws / "cg.txt"
+    gamma.write_text("\n".join(f"w{i:03d}" for i in range(80, 90)) + "\n")
+    three = ws / "three.ini"
+    three.write_text(manifest.read_text() + f"gamma = {gamma}\n")
+    rebuilt = []
+
+    def counting_normalize(store):
+        if not store.normalized:
+            rebuilt.append(store.name)
+        return embeddings.normalize(store)
+
+    monkeypatch.setattr(cli, "normalize", counting_normalize)
+    monkeypatch.setattr(experiment, "normalize", counting_normalize)
+    out = tmp_path / "out"
+    assert main(["eval", str(three), "--normalize"] + quick_args(out)) == 0
+    assert rebuilt == ["gauss"]
+    assert main(["null", str(three), "--normalize"] + quick_args(out)) == 0
+    assert rebuilt == ["gauss", "gauss"]
+
+    # the reports equal those of the library normalizing inside every call
+    spec = embeddings.EmbeddingSourceSpec(path=str(ws / "emb.txt"), lowercase=True)
+    raw = replace(embeddings.load_embedding(spec), name="gauss")
+    cfg = ExperimentConfig(
+        iterations=4, random_list_count=3, random_list_size=6, master_seed=3,
+        normalize=True,
+    )
+    aggregates = [
+        run_concept(raw, resolve(load_concept(str(path), name), raw), cfg)
+        for name, path in (("alpha", ws / "ca.txt"), ("beta", ws / "cb.txt"),
+                           ("gamma", gamma))
+    ]
+    null = run_null(raw, cfg)
+    assert rebuilt == ["gauss"] * 6  # three concepts and the null
+    assert (out / "gauss-eval.jsonl").read_text() == report.eval_report_jsonl(
+        "gauss", aggregates, null, cfg
+    )
+    assert (out / "gauss-null.jsonl").read_text() == report.null_report_jsonl(
+        "gauss", null, cfg
+    )
 
 
 def test_eval_fail_fast_on_missing_inputs(tmp_path):

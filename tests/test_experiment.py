@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conceptlearn import (
+    EmbeddingStore,
     ExperimentConfig,
     TrainConfig,
     empirical_p_value,
@@ -55,6 +56,47 @@ def test_run_concept_worker_independence(gaussian_store):
     parallel = run_concept(gaussian_store, rc, cfg, workers=4)
     assert serial.records == parallel.records
     assert serial.means == parallel.means
+
+
+def test_run_concept_stacked_records_equal_serial_iterations(gaussian_store):
+    # d = 8: every iteration of a concept this small shares one stack
+    rc = random_concept(gaussian_store, 14, seed=6, name="c14")
+    halving = TrainConfig(learning_rate=50, early_stop_tol=1e-3)
+    for cfg in (quick_cfg(iterations=11), quick_cfg(iterations=11, train=halving)):
+        serial = tuple(run_iteration(gaussian_store, rc, cfg, i) for i in range(11))
+        for workers in (1, 2):
+            agg = run_concept(gaussian_store, rc, cfg, workers=workers)
+            assert agg.records == serial
+
+
+@pytest.mark.parametrize(
+    "scale, train_cfg, message",
+    [
+        # |x| ~ 1e200: the second epoch's logits overflow
+        (1e200, TrainConfig(epochs=20),
+         "non-finite training loss at epoch 1 (learning rate 0.1)"),
+        # one step of rate 1e308 leaves infinite weights
+        (100.0, TrainConfig(learning_rate=1e308, epochs=1),
+         "non-finite model parameters"),
+    ],
+)
+def test_run_concept_failed_fit_raises_the_serial_error(
+    gaussian_store, scale, train_cfg, message
+):
+    store = EmbeddingStore(
+        name="scaled", dimension=gaussian_store.dimension,
+        vocabulary=gaussian_store.vocabulary, vectors=gaussian_store.vectors * scale,
+    )
+    rc = random_concept(store, 10, seed=3, name="c10")
+    cfg = quick_cfg(iterations=6, train=train_cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError) as serial:
+            run_iteration(store, rc, cfg, 0)
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError) as stacked:
+                run_concept(store, rc, cfg, workers=workers)
+            assert str(stacked.value) == str(serial.value)
+    assert str(serial.value) == f"iteration 0 of concept 'c10' failed: {message}"
 
 
 def test_run_concept_normalize_flag(gaussian_store):

@@ -15,7 +15,12 @@ from conceptlearn import (
     sigmoid,
     train,
 )
-from conceptlearn.perceptron import PerceptronModel, cross_entropy
+from conceptlearn.perceptron import (
+    PerceptronModel,
+    cross_entropy,
+    stack_size,
+    train_many,
+)
 from conftest import rows_of
 
 
@@ -50,6 +55,39 @@ def test_sigmoid_extremes_no_overflow():
 def test_sigmoid_symmetry_identity():
     zs = np.linspace(-30, 30, 101)
     assert np.all(np.abs(sigmoid(zs) + sigmoid(-zs) - 1.0) <= 1e-15)
+
+
+def masked_two_exp_sigmoid(z):
+    """The earlier `sigmoid`: one masked `exp` per sign of z."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_two_exp_form():
+    rng = np.random.default_rng(11)
+    cases = [
+        np.array([0.0, -0.0, 750.0, -750.0, 1e-310, -1e-310]),
+        np.linspace(-40, 40, 2001),
+        rng.normal(size=100_000) * 10,
+        np.linspace(-40, 40, 2001).reshape(3, 667),
+    ]
+    for z in cases:
+        got, want = sigmoid(z), masked_two_exp_sigmoid(z)
+        assert got.shape == z.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for z in (0.0, -0.0, 750.0, -750.0, 1e-310, -1e-310, 3.5, np.float64(-2.0)):
+        got = sigmoid(z)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == np.float64(
+            masked_two_exp_sigmoid(z)
+        ).view(np.uint64)
 
 
 def test_train_separable_two_points():
@@ -187,3 +225,63 @@ def test_cross_entropy_stable():
     z = np.array([800.0, -800.0])
     y = np.array([1.0, 0.0])
     assert cross_entropy(z, y) == 0.0
+
+
+def assert_same_model(a, b):
+    assert np.array_equal(a.weights.view(np.uint64), b.weights.view(np.uint64))
+    assert type(b.bias) is float and a.bias == b.bias
+    assert a.train_loss_trace == b.train_loss_trace
+    assert a.epochs_run == b.epochs_run
+
+
+STACK_CONFIGS = (
+    TrainConfig(),
+    # overshoots and halves the rate, stops within a few epochs; an int rate
+    TrainConfig(learning_rate=50, early_stop_tol=1e-3),
+    # models of one stack stop at different epochs
+    TrainConfig(early_stop_tol=1e-4, epochs=300),
+    TrainConfig(learning_rate=2.0, early_stop_tol=1e-4, l2=0.01),
+)
+
+
+@pytest.mark.parametrize("n", [5, 54, 101])
+def test_train_many_bitwise_equals_train(n):
+    vocab = [f"w{i:03d}" for i in range(2 * n + 40)]
+    store = random_gaussian_embedding(vocab, 30, seed=n)
+    rc = random_concept(store, n, seed=1)
+    splits = [make_split(rc, store, i, 5) for i in range(7)]
+    halved = stopped_apart = False
+    for cfg in STACK_CONFIGS:
+        serial = [train(s, store, cfg) for s in splits]
+        for a in serial:
+            halved |= bool(np.any(np.diff(a.train_loss_trace) > 0))
+        stopped_apart |= len({a.epochs_run for a in serial}) > 1
+        for k in (1, 3, len(splits)):
+            stacked = []
+            for i in range(0, len(splits), k):
+                stacked += train_many(splits[i : i + k], store, cfg)
+            assert len(stacked) == len(serial)
+            for a, b in zip(serial, stacked):
+                assert_same_model(a, b)
+    assert halved and stopped_apart
+
+
+def test_train_many_raises_on_non_finite_loss(gaussian_store):
+    # |x| ~ 1e200: the second epoch's logits overflow
+    huge = store_from(gaussian_store.vocabulary, gaussian_store.vectors * 1e200)
+    rc = random_concept(huge, 10, seed=3)
+    splits = [make_split(rc, huge, i, 0) for i in range(3)]
+    message = "non-finite training loss at epoch 1"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=message):
+            train(splits[0], huge, TrainConfig())
+        with pytest.raises(FloatingPointError, match=message):
+            train_many(splits, huge, TrainConfig())
+
+
+def test_stack_size_from_training_matrix_bytes():
+    assert stack_size(54, 300) == 16  # 127 KiB per fit, 2 MiB per stack
+    assert stack_size(108, 300) == 8
+    assert stack_size(110, 300) == 1  # over 256 KiB: train one at a time
+    assert stack_size(400, 300) == 1
+    assert stack_size(2, 1) == 131072
