@@ -19,6 +19,7 @@ from .embeddings import (
     EmbeddingSourceSpec,
     load_embedding,
     normalize,
+    not_utf8,
     random_gaussian_embedding,
     save_embedding,
 )
@@ -196,10 +197,18 @@ def compare_outcome(aucs_a, aucs_b, alternative: str):
     return outcome, note
 
 
+def _read_lines(path: str) -> list[str]:
+    """Lines of a UTF-8 word list; a byte-order mark is dropped."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise InputError(not_utf8(path)) from None
+
+
 def cmd_gen_random_embedding(args) -> int:
     if args.vocab:
-        with open(args.vocab, "r", encoding="utf-8") as fh:
-            vocab = [w.strip().lower() for w in fh if w.strip()]
+        vocab = [w.strip().lower() for w in _read_lines(args.vocab) if w.strip()]
         vocab = list(dict.fromkeys(vocab))
     else:
         width = len(str(args.words - 1))
@@ -217,11 +226,10 @@ def cmd_gen_random_embedding(args) -> int:
 def cmd_expand_wildcards(args) -> int:
     spec = EmbeddingSourceSpec(path=args.embedding_file, lowercase=True)
     store = load_embedding(spec)
-    with open(args.list_file, "r", encoding="utf-8") as fh:
-        entries = [
-            line.strip() for line in fh
-            if line.strip() and not line.strip().startswith("#")
-        ]
+    entries = [
+        line.strip() for line in _read_lines(args.list_file)
+        if line.strip() and not line.strip().startswith("#")
+    ]
     expanded = expand_wildcards(entries, store.vocabulary)
     if not expanded:
         raise InputError(f"{args.list_file}: expansion produced no words")

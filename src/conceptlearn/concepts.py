@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, name_key
+from .embeddings import EmbeddingStore, name_key, not_utf8
 
 # halving needs >= 2 train and >= 2 test positives
 MIN_RESOLVED_SIZE = 4
@@ -59,24 +59,28 @@ class ResolvedConcept:
 
 
 def load_concept(path: str, name: str) -> Concept:
-    """Read a one-word-per-line list file.
+    """Read a one-word-per-line UTF-8 list file (a byte-order mark is
+    dropped).
 
     Lines starting with `#` are comments; blank lines are skipped; words are
     folded to lowercase and deduplicated. Stem wildcards like `happ*` are
     rejected: expand them first (CLI `expand-wildcards` / expand_wildcards()).
     """
     words = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            if "*" in word:
-                raise ConceptError(
-                    f"{path}:{lineno}: wildcard entry {word!r}; run the "
-                    "expand-wildcards utility (--expand-wildcards) first"
-                )
-            words.add(word.lower())
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                word = line.strip()
+                if not word or word.startswith("#"):
+                    continue
+                if "*" in word:
+                    raise ConceptError(
+                        f"{path}:{lineno}: wildcard entry {word!r}; run the "
+                        "expand-wildcards utility (--expand-wildcards) first"
+                    )
+                words.add(word.lower())
+    except UnicodeDecodeError:
+        raise ConceptError(not_utf8(path)) from None
     if not words:
         raise ConceptError(f"{path}: empty word list")
     return Concept(name=name, words=frozenset(words), source=path)

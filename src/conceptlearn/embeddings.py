@@ -9,6 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# text read per np.loadtxt call when parsing a vector file; larger blocks
+# parse no faster and raise peak memory
+BLOCK_BYTES = 1 << 20
+
+
 class EmbeddingParseError(ValueError):
     """Raised when a vector file cannot be parsed."""
 
@@ -95,9 +100,12 @@ def _looks_like_header(line: str) -> bool:
 def load_embedding(spec: EmbeddingSourceSpec) -> EmbeddingStore:
     """Parse a `word v1 ... vd` text file into an EmbeddingStore.
 
-    The dimension is fixed by the first data line; later lines with a
-    different count raise EmbeddingParseError naming the 1-based line number,
-    as do non-finite values (nan, inf, or beyond the storage dtype's range).
+    The file is UTF-8, with or without a byte-order mark; any whitespace
+    separates tokens and blank lines are skipped. The dimension is fixed by
+    the first data line; later lines with a different count raise
+    EmbeddingParseError naming the 1-based line number, as do non-numeric
+    tokens, bytes that are not UTF-8 and non-finite values (nan, inf, or
+    beyond the storage dtype's range).
     Duplicate words keep the first occurrence and bump `skipped_duplicates`.
     Values are parsed as float64 and stored as float32 unless `dtype` says
     otherwise (see `load_embedding_dtype`).
@@ -111,60 +119,67 @@ def load_embedding_dtype(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
 
 
 def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
+    # Lines are read about BLOCK_BYTES at a time. Python splits off and
+    # bookkeeps the words; one np.loadtxt call parses a block's numbers.
     words: list[str] = []
     seen: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    linenos: list[int] = []
+    blocks: list[np.ndarray] = []
+    kept_linenos: list[np.ndarray] = []
     skipped = 0
     dim = None
     fmt = spec.format
-    with open(spec.path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1:
-                if fmt is None:
-                    fmt = "header" if _looks_like_header(line) else "plain"
-                if fmt == "header":
+    lineno = 0
+    full = False
+    try:
+        with open(spec.path, "r", encoding="utf-8-sig") as fh:
+            while not full and (lines := fh.readlines(BLOCK_BYTES)):
+                linenos, rests, keep = [], [], []
+                for line in lines:
+                    lineno += 1
+                    if lineno == 1:
+                        if fmt is None:
+                            fmt = "header" if _looks_like_header(line) else "plain"
+                        if fmt == "header":
+                            continue
+                    parts = line.split(None, 1)
+                    if not parts:
+                        continue
+                    word = parts[0].lower() if spec.lowercase else parts[0]
+                    linenos.append(lineno)
+                    rests.append(parts[1] if len(parts) > 1 else "")
+                    if word in seen:
+                        skipped += 1
+                        keep.append(False)
+                        continue
+                    keep.append(True)
+                    seen[word] = len(words)
+                    words.append(word)
+                    if len(words) == spec.max_words:
+                        full = True
+                        break
+                if not rests:
                     continue
-            if not line.strip():
-                continue
-            parts = line.split()
-            word, toks = parts[0], parts[1:]
-            if spec.lowercase:
-                word = word.lower()
-            try:
-                vec = np.array(toks, dtype=np.float64)
-            except ValueError:
-                raise EmbeddingParseError(
-                    f"{spec.path}:{lineno}: non-numeric vector component"
-                ) from None
-            if dim is None:
-                dim = len(vec)
-                if dim == 0:
-                    raise EmbeddingParseError(f"{spec.path}:{lineno}: no vector components")
-            elif len(vec) != dim:
-                raise EmbeddingParseError(
-                    f"{spec.path}:{lineno}: expected {dim} components, got {len(vec)}"
-                )
-            if word in seen:
-                skipped += 1
-                continue
-            seen[word] = len(words)
-            words.append(word)
-            rows.append(vec)
-            linenos.append(lineno)
-            if spec.max_words is not None and len(words) >= spec.max_words:
-                break
+                values = _parse_block(spec.path, rests, linenos, dim)
+                dim = values.shape[1]
+                linenos = np.array(linenos)
+                if not all(keep):
+                    values, linenos = values[keep], linenos[keep]
+                with np.errstate(over="ignore"):
+                    blocks.append(values.astype(dtype, copy=False))
+                kept_linenos.append(linenos)
+    except UnicodeDecodeError:
+        raise EmbeddingParseError(not_utf8(spec.path)) from None
     if not words:
         raise EmbeddingParseError(f"{spec.path}: no vector records found")
+    mat = np.concatenate(blocks)
+    del blocks  # free the per-block copies before the finiteness passes
     # checked once after the cast, so values that overflow the storage dtype
     # (1e39 as float32) are caught with nan, inf and 1e999
-    with np.errstate(over="ignore"):
-        mat = np.asarray(rows, dtype=dtype)
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if bad.size:
         raise EmbeddingParseError(
-            f"{spec.path}:{linenos[bad[0]]}: non-finite vector component"
+            f"{spec.path}:{np.concatenate(kept_linenos)[bad[0]]}: "
+            "non-finite vector component"
         )
     return EmbeddingStore(
         name=spec.path,
@@ -172,7 +187,66 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
         vocabulary=tuple(words),
         vectors=mat,
         skipped_duplicates=skipped,
+        index=seen,
     )
+
+
+def _parse_block(
+    path: str, rests: list[str], linenos: list[int], dim: int | None
+) -> np.ndarray:
+    """(len(rests), dim) float64 values of one block's number columns.
+
+    np.loadtxt parses the block in C. A block it rejects goes through the
+    per-line parse, which gives the same values or names the bad line:
+    loadtxt raises on tokens float() accepts (`1_0`, non-ASCII digits) and
+    on column counts that change, and silently drops empty rests (with a
+    warning when nothing else is left).
+    """
+    if "" not in rests:
+        try:
+            values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            rows, cols = values.shape
+            if rows == len(rests) and 0 < cols == (dim or cols):
+                return values
+    out = []
+    for lineno, rest in zip(linenos, rests):
+        toks = rest.split()
+        try:
+            vec = np.array(toks, dtype=np.float64)
+        except ValueError:
+            raise EmbeddingParseError(
+                f"{path}:{lineno}: non-numeric vector component"
+            ) from None
+        if dim is None:
+            dim = len(vec)
+            if dim == 0:
+                raise EmbeddingParseError(f"{path}:{lineno}: no vector components")
+        elif len(vec) != dim:
+            raise EmbeddingParseError(
+                f"{path}:{lineno}: expected {dim} components, got {len(vec)}"
+            )
+        out.append(vec)
+    return np.array(out)
+
+
+def not_utf8(path: str) -> str:
+    """`path:line: not valid UTF-8` for a text file whose decoding failed.
+
+    Re-reads the file, so call it only on that error path. The line is
+    counted as the failed read counts it.
+    """
+    # surrogateescape turns each undecodable byte into a lone surrogate,
+    # which the utf-8 encoder refuses
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return f"{path}:{lineno}: not valid UTF-8"
+    return f"{path}: not valid UTF-8"
 
 
 def save_embedding(store: EmbeddingStore, path: str, header: bool = False) -> None:
@@ -207,6 +281,7 @@ def normalize(store: EmbeddingStore) -> EmbeddingStore:
         vectors=mat / norms[:, None],
         normalized=True,
         skipped_duplicates=store.skipped_duplicates,
+        index=store.index,
     )
 
 

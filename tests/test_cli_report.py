@@ -242,6 +242,32 @@ def test_expand_wildcards_command(tmp_path):
     assert out.read_text().splitlines() == ["happier", "happy", "sad"]
 
 
+def test_non_utf8_vector_file_is_input_error(tmp_path, capsys):
+    emb = tmp_path / "e.txt"
+    emb.write_bytes(b"happy 1.0\nsad 3.0\ncaf\xe9 2.0\n")
+    lst = tmp_path / "l.txt"
+    lst.write_text("happ*\n")
+    assert main(["expand-wildcards", str(lst), str(emb)]) == 1
+    assert capsys.readouterr().err == f"error: {emb}:3: not valid UTF-8\n"
+
+
+def test_non_utf8_word_lists_are_input_errors(workspace, tmp_path, capsys):
+    ws, manifest = workspace
+    emb = load_manifest(str(manifest)).embeddings[0][1].path
+    bad = ws / "latin1.txt"
+    bad.write_bytes(b"w001\nw002\n\xe9t\xe9\n")
+    m = ws / "latin1.ini"
+    m.write_text(f"[embeddings]\ng = {emb}\n[concepts]\nbad = {bad}\n")
+    commands = [
+        ["eval", str(m)] + quick_args(tmp_path / "o"),
+        ["expand-wildcards", str(bad), emb],
+        ["gen-random-embedding", str(tmp_path / "g.txt"), "--vocab", str(bad)],
+    ]
+    for argv in commands:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}:3: not valid UTF-8\n"
+
+
 def test_runtime_error_exit_code(workspace, tmp_path):
     _, manifest = workspace
     # concept larger than half the vocabulary -> split failure mid-run

@@ -36,6 +36,14 @@ def test_load_concept_comments_and_blanks(tmp_path):
     assert load_concept(path, "c").words == {"word", "other"}
 
 
+def test_load_concept_drops_byte_order_mark(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes("the\nof\n".encode("utf-8"))
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes("the\nof\n".encode("utf-8-sig"))
+    assert load_concept(str(bom), "c").words == load_concept(str(plain), "c").words == {"the", "of"}
+
+
 def test_load_concept_empty_errors(tmp_path):
     path = write_list(tmp_path, "# only a comment\n")
     with pytest.raises(ConceptError, match="empty"):

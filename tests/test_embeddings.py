@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conceptlearn import embeddings
 from conceptlearn import (
     EmbeddingParseError,
     EmbeddingSourceSpec,
@@ -209,3 +210,176 @@ def test_store_invariant_checks():
             name="u", dimension=2, vocabulary=("a",),
             vectors=np.array([[3.0, 4.0]]), normalized=True,
         )
+
+
+def _reference_load(spec, dtype):
+    """The per-line loader the block parser replaced, kept as its oracle."""
+    words, seen, rows, linenos = [], {}, [], []
+    skipped = 0
+    dim = None
+    fmt = spec.format
+    with open(spec.path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if lineno == 1:
+                if fmt is None:
+                    fmt = "header" if embeddings._looks_like_header(line) else "plain"
+                if fmt == "header":
+                    continue
+            if not line.strip():
+                continue
+            parts = line.split()
+            word, toks = parts[0], parts[1:]
+            if spec.lowercase:
+                word = word.lower()
+            try:
+                vec = np.array(toks, dtype=np.float64)
+            except ValueError:
+                raise EmbeddingParseError(
+                    f"{spec.path}:{lineno}: non-numeric vector component"
+                ) from None
+            if dim is None:
+                dim = len(vec)
+                if dim == 0:
+                    raise EmbeddingParseError(f"{spec.path}:{lineno}: no vector components")
+            elif len(vec) != dim:
+                raise EmbeddingParseError(
+                    f"{spec.path}:{lineno}: expected {dim} components, got {len(vec)}"
+                )
+            if word in seen:
+                skipped += 1
+                continue
+            seen[word] = len(words)
+            words.append(word)
+            rows.append(vec)
+            linenos.append(lineno)
+            if spec.max_words is not None and len(words) >= spec.max_words:
+                break
+    if not words:
+        raise EmbeddingParseError(f"{spec.path}: no vector records found")
+    with np.errstate(over="ignore"):
+        mat = np.asarray(rows, dtype=dtype)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise EmbeddingParseError(
+            f"{spec.path}:{linenos[bad[0]]}: non-finite vector component"
+        )
+    return tuple(words), mat, skipped
+
+
+def _outcome(load):
+    """What a loader made of a file: its records byte for byte, or its error."""
+    try:
+        vocab, mat, skipped = load()
+    except EmbeddingParseError as exc:
+        return "error", str(exc)
+    return vocab, mat.dtype.str, mat.shape, mat.tobytes(), skipped
+
+
+def _block_load(spec, dtype):
+    store = load_embedding_dtype(spec, dtype)
+    assert store.index == {w: i for i, w in enumerate(store.vocabulary)}
+    return store.vocabulary, store.vectors, store.skipped_duplicates
+
+
+def _formatted(fmt):
+    rng = np.random.default_rng(17)
+    mat = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-6, 7, size=(12, 3))
+    mat[3] = [-0.0, 5e-324, 1e308]
+    return "".join(
+        f"w{i} " + " ".join(fmt(v) for v in row) + "\n" for i, row in enumerate(mat)
+    )
+
+
+_LINES = "".join(f"w{i} {i}.5 -{i}\n" for i in range(8))  # lines 1-8, several blocks
+_ORACLE_CASES = {
+    "repr": (_formatted(repr), {}),
+    "g12": (_formatted(lambda v: "%.12g" % v), {}),
+    "f5": (_formatted(lambda v: "%.5f" % v), {}),
+    "word-only-line-1": ("a\nb 1 2\n", {}),
+    "word-only-mid-file": (_LINES + "lonely\n" + _LINES, {}),
+    "word-only-trailing-space": (_LINES + "lonely \t\n", {}),
+    "dim-plus-one": (_LINES + "x 1 2 3\n", {}),
+    "dim-changes-at-block": (_LINES + "".join(f"v{i} 1 2 3\n" for i in range(8)), {}),
+    "bad-token-second-block": (_LINES + "x 1 two\n", {}),
+    "non-finite-later-block": (_LINES + "x 1 nan\n" + _LINES.replace("w", "u"), {}),
+    "overflows-float32": (_LINES + "x 1 1e39\n", {}),
+    "non-finite-then-bad-token": ("a inf 1\n" + _LINES + "x 1 two\n", {}),
+    "bad-token-on-duplicate": (_LINES + "w3 1 two\n", {}),
+    "non-finite-on-duplicate": (_LINES + "w3 1 nan\nw4 1e39 1\n", {}),
+    "bad-line-after-max-words": (_LINES + "x 1 two\n", {"max_words": 8}),
+    "max-words-mid-block": (_LINES + "x 1 two\n", {"max_words": 3}),
+    "max-words-counts-kept-words": ("a 1\na 2\nb 3\nc zz\n", {"max_words": 2}),
+    "duplicates-after-lowercase": ("Cat 1 2\ncat 3 4\nDOG 5 6\ndog 7 8\n", {"lowercase": True}),
+    "case-kept": ("Cat 1 2\ncat 3 4\nDOG 5 6\ndog 7 8\n", {}),
+    "header-sniffed": ("8 2\n" + _LINES, {}),
+    "header-explicit": ("8 2\n" + _LINES, {"format": "header"}),
+    "header-as-plain": ("8 2\n" + _LINES, {"format": "plain"}),
+    "header-only": ("8 2\n", {}),
+    "empty": ("", {}),
+    "blank-lines": ("\n  \n" + _LINES.replace("\n", "\n\t\n"), {}),
+    "crlf-trailing-space": (_LINES.replace("\n", " \t\r\n"), {}),
+    "no-final-newline": (_LINES.rstrip("\n"), {}),
+    "hash-in-words": ("#a 1 2\nb#c 3 4\nd# 5 6\n", {}),
+    "hash-in-values": (_LINES + "x 1#2 3\n", {}),
+    "hash-comment-value": (_LINES + "x 1 #\n", {}),
+    "underscore-digits": (_LINES + "x 1_0 2\n" + _LINES.replace("w", "v"), {}),
+    "arabic-indic-digits": ("a ١٢ 1\n" + _LINES, {}),
+}
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on a block with no numbers
+@pytest.mark.parametrize("block_bytes", [1, 40, embeddings.BLOCK_BYTES])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_block_parser_matches_line_loop(tmp_path, monkeypatch, case, block_bytes):
+    text, kw = _ORACLE_CASES[case]
+    path = tmp_path / "v.txt"
+    path.write_bytes(text.encode("utf-8"))
+    spec = EmbeddingSourceSpec(path=str(path), **kw)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
+    for dtype in (np.float32, np.float64):
+        assert _outcome(lambda: _block_load(spec, dtype)) == _outcome(
+            lambda: _reference_load(spec, dtype)
+        )
+
+
+_SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("sep", _SPACES, ids=[f"U+{ord(c):04X}" for c in _SPACES])
+def test_block_parser_separators_match_line_loop(tmp_path, monkeypatch, sep):
+    lines = [f"w{i}{sep}{i}.25{sep}{sep}-{i}{sep}\n" for i in range(6)]
+    path = tmp_path / "v.txt"
+    path.write_bytes((_LINES + "".join(lines)).encode("utf-8"))
+    spec = EmbeddingSourceSpec(path=str(path))
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 40)
+    assert _outcome(lambda: _block_load(spec, np.float64)) == _outcome(
+        lambda: _reference_load(spec, np.float64)
+    )
+
+
+@pytest.mark.parametrize("header", ["", "2 3\n"])
+def test_byte_order_mark_is_dropped(tmp_path, tiny_store, header):
+    text = header + tiny_store.read_text()
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))
+    a = load_embedding(EmbeddingSourceSpec(path=str(plain)))
+    b = load_embedding(EmbeddingSourceSpec(path=str(bom)))
+    assert b.vocabulary == a.vocabulary == ("cat", "dog")
+    assert b.vectors.tobytes() == a.vectors.tobytes()
+
+
+def test_non_utf8_bytes_name_the_line(tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"cat 1 2\r\ndog 3 4\rcaf\xe9 5 6\n")
+    with pytest.raises(EmbeddingParseError, match=r"latin1\.txt:3: not valid UTF-8$"):
+        load_embedding(EmbeddingSourceSpec(path=str(p)))
+
+
+def test_loaded_index_is_shared_by_normalize(tmp_path):
+    p = tmp_path / "v.txt"
+    p.write_text("Cat 1 2\ncat 3 4\ndog 0 5\n")
+    store = load_embedding(EmbeddingSourceSpec(path=str(p), lowercase=True))
+    assert store.index == {"cat": 0, "dog": 1}
+    assert normalize(store).index is store.index
