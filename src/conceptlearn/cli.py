@@ -19,7 +19,7 @@ from .embeddings import (
     EmbeddingSourceSpec,
     load_embedding,
     normalize,
-    not_utf8,
+    open_utf8,
     random_gaussian_embedding,
     save_embedding,
 )
@@ -32,7 +32,11 @@ from .experiment import (
 from .perceptron import TrainConfig
 from .stats import wilcoxon_signed_rank
 
-FORMATS = ("txt", "csv", "jsonl")
+EVAL_FORMATS = {
+    "txt": report.eval_report_text,
+    "csv": report.eval_report_csv,
+    "jsonl": report.eval_report_jsonl,
+}
 
 
 class InputError(Exception):
@@ -58,11 +62,12 @@ def load_manifest(path: str) -> RunManifest:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        read = parser.read(path)
+        with open_utf8(path, InputError) as fh:
+            parser.read_file(fh)
+    except OSError:
+        raise InputError(f"cannot read manifest {path!r}") from None
     except configparser.Error as exc:
         raise InputError(str(exc)) from exc
-    if not read:
-        raise InputError(f"cannot read manifest {path!r}")
     if "embeddings" not in parser or "concepts" not in parser:
         raise InputError(f"{path}: manifest needs [embeddings] and [concepts] sections")
     embeddings = [
@@ -129,20 +134,16 @@ def cmd_eval(args) -> int:
     cfg = _experiment_config(args)
     formats = args.format.split(",")
     for fmt in formats:
-        if fmt not in FORMATS:
-            raise InputError(f"unknown format {fmt!r} (choose from {','.join(FORMATS)})")
+        if fmt not in EVAL_FORMATS:
+            raise InputError(
+                f"unknown format {fmt!r} (choose from {','.join(EVAL_FORMATS)})"
+            )
     for name, _ in manifest.embeddings:
         store, aggregates = _evaluate_embedding(manifest, name, cfg, args.workers)
         null = run_null(store, cfg, workers=args.workers)
-        if "txt" in formats:
-            _write(args.out, f"{name}-eval.txt",
-                   report.eval_report_text(name, aggregates, null, cfg))
-        if "csv" in formats:
-            _write(args.out, f"{name}-eval.csv",
-                   report.eval_report_csv(name, aggregates, null, cfg))
-        if "jsonl" in formats:
-            _write(args.out, f"{name}-eval.jsonl",
-                   report.eval_report_jsonl(name, aggregates, null, cfg))
+        for fmt, render in EVAL_FORMATS.items():
+            if fmt in formats:
+                _write(args.out, f"{name}-eval.{fmt}", render(name, aggregates, null, cfg))
     return 0
 
 
@@ -199,11 +200,8 @@ def compare_outcome(aucs_a, aucs_b, alternative: str):
 
 def _read_lines(path: str) -> list[str]:
     """Lines of a UTF-8 word list; a byte-order mark is dropped."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        raise InputError(not_utf8(path)) from None
+    with open_utf8(path, InputError) as fh:
+        return fh.readlines()
 
 
 def cmd_gen_random_embedding(args) -> int:

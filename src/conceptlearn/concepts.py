@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, name_key, not_utf8
+from .embeddings import EmbeddingStore, open_utf8, stream
 
 # halving needs >= 2 train and >= 2 test positives
 MIN_RESOLVED_SIZE = 4
@@ -67,20 +67,17 @@ def load_concept(path: str, name: str) -> Concept:
     rejected: expand them first (CLI `expand-wildcards` / expand_wildcards()).
     """
     words = set()
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                word = line.strip()
-                if not word or word.startswith("#"):
-                    continue
-                if "*" in word:
-                    raise ConceptError(
-                        f"{path}:{lineno}: wildcard entry {word!r}; run the "
-                        "expand-wildcards utility (--expand-wildcards) first"
-                    )
-                words.add(word.lower())
-    except UnicodeDecodeError:
-        raise ConceptError(not_utf8(path)) from None
+    with open_utf8(path, ConceptError) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            word = line.strip()
+            if not word or word.startswith("#"):
+                continue
+            if "*" in word:
+                raise ConceptError(
+                    f"{path}:{lineno}: wildcard entry {word!r}; run the "
+                    "expand-wildcards utility (--expand-wildcards) first"
+                )
+            words.add(word.lower())
     if not words:
         raise ConceptError(f"{path}: empty word list")
     return Concept(name=name, words=frozenset(words), source=path)
@@ -146,10 +143,7 @@ def random_concept(
         raise ConceptError(
             f"cannot sample {size} words from {len(pool)} available"
         )
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([seed & (2**64 - 1), name_key(name)]))
-    )
-    picked = rng.choice(len(pool), size=size, replace=False)
+    picked = stream(seed, name).choice(len(pool), size=size, replace=False)
     words = tuple(sorted(store.vocabulary[i] for i in pool[picked]))
     concept = Concept(name=name, words=frozenset(words), source="random sample")
     return ResolvedConcept(

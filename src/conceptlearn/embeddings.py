@@ -4,6 +4,7 @@ synthetic Gaussian embeddings."""
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,15 @@ class EmbeddingParseError(ValueError):
 def name_key(name: str) -> int:
     """Stable 64-bit key for a name, independent of PYTHONHASHSEED."""
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
+
+
+def stream(seed: int, *names: str, spawn_key=()) -> np.random.Generator:
+    """The counter-based Philox stream keyed by `seed` (taken modulo 2**64),
+    the `name_key` of each name and `spawn_key`; every split, random list
+    and Gaussian embedding draws from one."""
+    entropy = [seed & (2**64 - 1), *map(name_key, names)]
+    ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(ss))
 
 
 @dataclass(frozen=True)
@@ -130,45 +140,42 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
     fmt = spec.format
     lineno = 0
     full = False
-    try:
-        with open(spec.path, "r", encoding="utf-8-sig") as fh:
-            while not full and (lines := fh.readlines(BLOCK_BYTES)):
-                linenos, rests, keep = [], [], []
-                for line in lines:
-                    lineno += 1
-                    if lineno == 1:
-                        if fmt is None:
-                            fmt = "header" if _looks_like_header(line) else "plain"
-                        if fmt == "header":
-                            continue
-                    parts = line.split(None, 1)
-                    if not parts:
+    with open_utf8(spec.path, EmbeddingParseError) as fh:
+        while not full and (lines := fh.readlines(BLOCK_BYTES)):
+            linenos, rests, keep = [], [], []
+            for line in lines:
+                lineno += 1
+                if lineno == 1:
+                    if fmt is None:
+                        fmt = "header" if _looks_like_header(line) else "plain"
+                    if fmt == "header":
                         continue
-                    word = parts[0].lower() if spec.lowercase else parts[0]
-                    linenos.append(lineno)
-                    rests.append(parts[1] if len(parts) > 1 else "")
-                    if word in seen:
-                        skipped += 1
-                        keep.append(False)
-                        continue
-                    keep.append(True)
-                    seen[word] = len(words)
-                    words.append(word)
-                    if len(words) == spec.max_words:
-                        full = True
-                        break
-                if not rests:
+                parts = line.split(None, 1)
+                if not parts:
                     continue
-                values = _parse_block(spec.path, rests, linenos, dim)
-                dim = values.shape[1]
-                linenos = np.array(linenos)
-                if not all(keep):
-                    values, linenos = values[keep], linenos[keep]
-                with np.errstate(over="ignore"):
-                    blocks.append(values.astype(dtype, copy=False))
-                kept_linenos.append(linenos)
-    except UnicodeDecodeError:
-        raise EmbeddingParseError(not_utf8(spec.path)) from None
+                word = parts[0].lower() if spec.lowercase else parts[0]
+                linenos.append(lineno)
+                rests.append(parts[1] if len(parts) > 1 else "")
+                if word in seen:
+                    skipped += 1
+                    keep.append(False)
+                    continue
+                keep.append(True)
+                seen[word] = len(words)
+                words.append(word)
+                if len(words) == spec.max_words:
+                    full = True
+                    break
+            if not rests:
+                continue
+            values = _parse_block(spec.path, rests, linenos, dim)
+            dim = values.shape[1]
+            linenos = np.array(linenos)
+            if not all(keep):
+                values, linenos = values[keep], linenos[keep]
+            with np.errstate(over="ignore"):
+                blocks.append(values.astype(dtype, copy=False))
+            kept_linenos.append(linenos)
     if not words:
         raise EmbeddingParseError(f"{spec.path}: no vector records found")
     mat = np.concatenate(blocks)
@@ -230,6 +237,19 @@ def _parse_block(
             )
         out.append(vec)
     return np.array(out)
+
+
+@contextmanager
+def open_utf8(path: str, error: type[Exception]):
+    """Open a UTF-8 text file for reading, dropping a byte-order mark.
+
+    Bytes that do not decode raise `error` with the `not_utf8` message.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise error(not_utf8(path)) from None
 
 
 def not_utf8(path: str) -> str:
@@ -298,6 +318,5 @@ def random_gaussian_embedding(
         raise ValueError("vocabulary must be non-empty")
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed & (2**64 - 1))))
-    mat = rng.standard_normal((len(vocab), dimension))
+    mat = stream(seed).standard_normal((len(vocab), dimension))
     return EmbeddingStore(name=name, dimension=dimension, vocabulary=vocab, vectors=mat)

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concepts import ResolvedConcept, random_concept
+from .concepts import MIN_RESOLVED_SIZE, ResolvedConcept, random_concept
 from .embeddings import EmbeddingStore, normalize
 from .metrics import METRIC_NAMES, MetricsRecord, evaluate_scores
 from .perceptron import TrainConfig, score, stack_size, train, train_many
-from .splits import make_split
+from .splits import make_split, train_positives
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,13 @@ class ExperimentConfig:
             raise ValueError("iterations must be >= 1")
         if self.random_list_count < 1:
             raise ValueError("random_list_count must be >= 1")
-        if self.random_list_size < 4:
-            raise ValueError("random_list_size must be >= 4")
+        if self.random_list_size < MIN_RESOLVED_SIZE:
+            raise ValueError(f"random_list_size must be >= {MIN_RESOLVED_SIZE}")
 
 
 @dataclass(frozen=True)
 class AggregateResult:
     concept_name: str
-    embedding_name: str
     resolved_size: int
     raw_size: int
     means: dict[str, float]
@@ -123,9 +122,12 @@ def _iterations_task(indices: range) -> list[MetricsRecord]:
 
 
 def _null_task(k: int) -> dict[str, float]:
-    store, cfg, exclude, size = _CONTEXTS["null"]
-    agg = _run_null_list(store, cfg, exclude, size, k)
-    return agg.means
+    store, cfg, exclude = _CONTEXTS["null"]
+    rc = random_concept(
+        store, cfg.random_list_size, exclude=exclude, seed=cfg.master_seed,
+        name=f"random-{k:04d}",
+    )
+    return run_concept(store, rc, cfg, workers=1).means
 
 
 def _map_tasks(task_fn, slot: str, ctx, indices, workers: int):
@@ -160,7 +162,7 @@ def run_concept(
     if cfg.normalize:
         store = normalize(store)
     n = cfg.iterations
-    train_rows = 2 * math.ceil(resolved.size / 2)
+    train_rows = 2 * train_positives(resolved.size)
     k = min(stack_size(train_rows, store.dimension), math.ceil(n / max(1, workers)))
     chunks = [range(i, min(i + k, n)) for i in range(0, n, k)]
     per_chunk = _map_tasks(
@@ -179,7 +181,6 @@ def _aggregate(resolved: ResolvedConcept, records) -> AggregateResult:
     }
     return AggregateResult(
         concept_name=resolved.concept.name,
-        embedding_name=resolved.embedding_name,
         resolved_size=resolved.size,
         raw_size=resolved.raw_size,
         means=means,
@@ -188,20 +189,11 @@ def _aggregate(resolved: ResolvedConcept, records) -> AggregateResult:
     )
 
 
-def _run_null_list(
-    store: EmbeddingStore, cfg: ExperimentConfig, exclude, size: int, k: int
-) -> AggregateResult:
-    name = f"random-{k:04d}"
-    rc = random_concept(store, size, exclude=exclude, seed=cfg.master_seed, name=name)
-    return run_concept(store, rc, cfg, workers=1)
-
-
 def run_null(
     store: EmbeddingStore,
     cfg: ExperimentConfig,
     exclude=frozenset(),
     workers: int = 1,
-    size: int | None = None,
 ) -> NullDistribution:
     """Null distribution from cfg.random_list_count random word lists.
 
@@ -209,11 +201,9 @@ def run_null(
     The max row is a per-metric maximum across lists; the mean row is the
     per-metric average.
     """
-    if size is None:
-        size = cfg.random_list_size
     if cfg.normalize:
         store = normalize(store)  # once here; idempotent inside run_concept
-    ctx = (store, cfg, frozenset(exclude), size)
+    ctx = (store, cfg, frozenset(exclude))
     per_list = _map_tasks(
         _null_task, "null", ctx, range(cfg.random_list_count), workers
     )
@@ -222,7 +212,8 @@ def run_null(
         n: float(np.mean([m[n] for m in per_list])) for n in METRIC_NAMES
     }
     return NullDistribution(
-        per_list=tuple(per_list), max_row=max_row, mean_row=mean_row, list_size=size
+        per_list=tuple(per_list), max_row=max_row, mean_row=mean_row,
+        list_size=cfg.random_list_size,
     )
 
 

@@ -102,11 +102,12 @@ def eval_report_text(
 ) -> str:
     lines = [f"# embedding = {embedding_name}"]
     lines += config_header(cfg)
-    width = max(12, max(len(r[0]) for r in eval_rows(aggregates, null)) + 2)
+    rows = eval_rows(aggregates, null)
+    width = max(12, max(len(r[0]) for r in rows) + 2)
     header = f"{'L':<{width}}" + "".join(f"{c:>10}" for c in COLUMNS) + f"{'p(AUC)':>10}"
     lines.append(header)
     lines.append("-" * len(header))
-    for label, size, row, p in eval_rows(aggregates, null):
+    for label, size, row, p in rows:
         cells = "".join(f"{c:>10}" for c in [str(size)] + _metric_cells(row))
         lines.append(f"{label:<{width}}" + cells + f"{p:>10}")
     return "\n".join(lines) + "\n"
@@ -143,7 +144,7 @@ def eval_report_jsonl(
                 {
                     "record": "concept",
                     "name": agg.concept_name,
-                    "embedding": agg.embedding_name,
+                    "embedding": embedding_name,
                     "raw_size": agg.raw_size,
                     "resolved_size": agg.resolved_size,
                     "means": agg.means,

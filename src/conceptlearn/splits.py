@@ -9,10 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concepts import ResolvedConcept
-from .embeddings import EmbeddingStore, name_key
-
-MASK64 = 2**64 - 1
+from .concepts import MIN_RESOLVED_SIZE, ResolvedConcept
+from .embeddings import EmbeddingStore, stream
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +53,13 @@ def split_rng(
     The iteration is a spawn key under the (seed, concept) entropy that
     `random_concept` uses, so a random list's word draw and its splits never
     share a stream."""
-    ss = np.random.SeedSequence(
-        [master_seed & MASK64, name_key(concept_name)], spawn_key=(iteration_index,)
-    )
-    return np.random.Generator(np.random.Philox(ss))
+    return stream(master_seed, concept_name, spawn_key=(iteration_index,))
+
+
+def train_positives(n: int) -> int:
+    """Training positives of a split of an n-word concept: ceil(n/2), so odd
+    sizes favor training. Training takes as many negatives."""
+    return math.ceil(n / 2)
 
 
 def make_split(
@@ -70,13 +71,13 @@ def make_split(
     """One labeled train/test partition, as vocabulary row indices.
 
     Positives: a uniform shuffle of the concept's rows (taken in `in_vocab`
-    order), first ceil(n/2) to train (odd sizes favor training). Negatives: a
+    order), first `train_positives(n)` to train. Negatives: a
     single without-replacement draw from the rows of V minus the concept, in
     vocabulary order, first |train_pos| to train and the rest to test, so the
     two negative sets are disjoint within an iteration.
     """
     n = resolved.size
-    if n < 4:
+    if n < MIN_RESOLVED_SIZE:
         raise ValueError(f"concept of {n} words is too small to split")
     if len(store) < 2 * n + 2:
         raise ValueError(
@@ -86,7 +87,7 @@ def make_split(
     rng = split_rng(master_seed, resolved.concept.name, iteration_index)
     rows = np.array([store.index[w] for w in resolved.in_vocab], dtype=np.intp)
 
-    n_train = math.ceil(n / 2)
+    n_train = train_positives(n)
     pos = rows[rng.permutation(n)]
     pool = np.delete(np.arange(len(store)), rows)
     neg = pool[rng.choice(len(pool), size=n, replace=False)]

@@ -92,20 +92,15 @@ def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcom
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
 
+    # the statistic whose lower tail is tested; the null is symmetric, so a
+    # two-sided test doubles the smaller sum's tail (the tails meet when
+    # W+ == W-, hence the cap at 1)
+    w_stat = {"greater": w_minus, "less": w_plus}.get(alternative, min(w_plus, w_minus))
     if n <= EXACT_LIMIT:
         method = "exact"
         # average ranks are multiples of 0.5, so doubling makes them integers
         cum = np.cumsum(_subset_sum_counts(np.rint(2 * ranks).astype(np.int64)))
-        total = 2**n
-        if alternative == "greater":
-            hits = cum[round(2 * w_minus)]
-        elif alternative == "less":
-            hits = cum[round(2 * w_plus)]
-        else:
-            # the null is symmetric, so each tail beyond min(W+, W-) holds
-            # cum[2w] sign assignments; the tails meet when W+ == W-
-            hits = min(2 * cum[round(2 * min(w_plus, w_minus))], total)
-        p = float(hits) / total
+        p = float(cum[round(2 * w_stat)]) / 2**n
     else:
         # imported here so that the CLI, which rarely takes this branch, never
         # pays for importing scipy; ndtr is the function behind norm.cdf
@@ -116,17 +111,9 @@ def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcom
         _, counts = np.unique(ranks, return_counts=True)
         tie_term = float(np.sum(counts**3 - counts)) / 48.0
         sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
-        if alternative == "greater":
-            p = float(ndtr((w_minus - mean + 0.5) / sd))
-        elif alternative == "less":
-            p = float(ndtr((w_plus - mean + 0.5) / sd))
-        else:
-            w = min(w_plus, w_minus)
-            p = min(1.0, 2.0 * float(ndtr((w - mean + 0.5) / sd)))
-
-    w_stat = w_minus if alternative == "greater" else (
-        w_plus if alternative == "less" else min(w_plus, w_minus)
-    )
+        p = float(ndtr((w_stat - mean + 0.5) / sd))
+    if alternative == "two-sided":
+        p = min(1.0, 2.0 * p)
     return WilcoxonOutcome(
         n_effective=n,
         w_plus=w_plus,

@@ -154,6 +154,18 @@ def test_eval_normalizes_once_per_embedding(workspace, tmp_path, monkeypatch):
     )
 
 
+def test_eval_jsonl_names_the_reported_embedding():
+    vocab = [f"w{i:03d}" for i in range(60)]
+    store = random_gaussian_embedding(vocab, 4, seed=1, name="y")
+    cfg = ExperimentConfig(iterations=2, random_list_count=2, random_list_size=5)
+    aggregates = [run_concept(store, random_concept(store, 6, seed=2, name="c"), cfg)]
+    text = report.eval_report_jsonl("x", aggregates, run_null(store, cfg), cfg)
+    records = [json.loads(line) for line in text.splitlines()]
+    named = [r for r in records if "embedding" in r]
+    assert [r["record"] for r in named] == ["config", "concept"]
+    assert {r["embedding"] for r in named} == {"x"}
+
+
 def test_eval_fail_fast_on_missing_inputs(tmp_path):
     manifest = tmp_path / "bad.ini"
     manifest.write_text("[embeddings]\ne = /nope/e.txt\n[concepts]\nc = /nope/c.txt\n")
@@ -404,6 +416,32 @@ def test_manifest_duplicate_key_is_input_error(workspace, tmp_path, capsys):
     assert main(["eval", str(m)] + quick_args(tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert str(m) in err and re.search(r"line\s+5\b", err)
+
+
+def test_manifest_byte_order_mark_is_dropped(workspace, tmp_path):
+    ws, manifest = workspace
+    bom = ws / "bom.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    plain, marked = tmp_path / "plain", tmp_path / "bom"
+    assert main(["eval", str(manifest)] + quick_args(plain)) == 0
+    assert main(["eval", str(bom)] + quick_args(marked)) == 0
+    for name in ("gauss-eval.txt", "gauss-eval.csv", "gauss-eval.jsonl"):
+        assert (plain / name).read_bytes() == (marked / name).read_bytes()
+
+
+def test_non_utf8_manifest_is_input_error(workspace, tmp_path, capsys):
+    ws, manifest = workspace
+    bad = ws / "latin1.ini"
+    bad.write_bytes(manifest.read_bytes() + b"# caf\xe9\n")
+    line = manifest.read_text().count("\n") + 1
+    assert main(["eval", str(bad)] + quick_args(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{line}: not valid UTF-8\n"
+
+
+def test_missing_manifest_is_input_error(tmp_path, capsys):
+    missing = tmp_path / "none.ini"
+    assert main(["eval", str(missing), "--out", str(tmp_path / "o")]) == 1
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_manifest_names_keep_case(workspace, tmp_path):

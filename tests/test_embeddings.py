@@ -187,6 +187,15 @@ def test_gaussian_deterministic():
     assert not np.array_equal(a.vectors, c.vectors)
 
 
+@pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 3])
+def test_gaussian_matches_philox_reference(seed):
+    reference = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed & (2**64 - 1)))
+    ).standard_normal((40, 5))
+    store = random_gaussian_embedding([f"w{i}" for i in range(40)], 5, seed=seed)
+    assert np.array_equal(store.vectors, reference)
+
+
 def test_gaussian_rejects_bad_args():
     with pytest.raises(ValueError):
         random_gaussian_embedding([], 3, seed=0)
