@@ -19,6 +19,7 @@ from .embeddings import (
     EmbeddingSourceSpec,
     load_embedding,
     normalize,
+    normalized_view,
     open_utf8,
     random_gaussian_embedding,
     save_embedding,
@@ -109,10 +110,11 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _load_named_embedding(name: str, spec: EmbeddingSourceSpec, cfg):
-    """Load a manifest embedding, normalized once here when cfg says so, so
-    that `run_concept` and `run_null` do not each rebuild the matrix."""
+    """Load a manifest embedding. When cfg says to normalize, its row norms
+    are computed once here, so `run_concept` and `run_null` do not each
+    redo them; the matrix itself is not copied."""
     store = replace(load_embedding(spec), name=name)
-    return normalize(store) if cfg.normalize else store
+    return normalized_view(store) if cfg.normalize else store
 
 
 def _evaluate_embedding(manifest: RunManifest, name: str, cfg, workers: int):
@@ -141,6 +143,7 @@ def cmd_eval(args) -> int:
     for name, _ in manifest.embeddings:
         store, aggregates = _evaluate_embedding(manifest, name, cfg, args.workers)
         null = run_null(store, cfg, workers=args.workers)
+        del store  # free this matrix before the next embedding loads
         for fmt, render in EVAL_FORMATS.items():
             if fmt in formats:
                 _write(args.out, f"{name}-eval.{fmt}", render(name, aggregates, null, cfg))
@@ -166,7 +169,9 @@ def cmd_compare(args) -> int:
     cfg = _experiment_config(args)
     aucs = {}
     for name in (args.embedding_a, args.embedding_b):
-        _, aggregates = _evaluate_embedding(manifest, name, cfg, args.workers)
+        # only the aggregates are kept, so the first matrix is freed before
+        # the second loads
+        aggregates = _evaluate_embedding(manifest, name, cfg, args.workers)[1]
         aucs[name] = {agg.concept_name: agg.means["auc"] for agg in aggregates}
     names = [n for n, _ in manifest.concepts]
     a = [aucs[args.embedding_a][n] for n in names]

@@ -4,14 +4,16 @@ synthetic Gaussian embeddings."""
 from __future__ import annotations
 
 import hashlib
+import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 
-# text read per np.loadtxt call when parsing a vector file; larger blocks
-# parse no faster and raise peak memory
+# text read per np.loadtxt call when parsing a vector file, and float64
+# bytes per row chunk of the whole-matrix passes (finiteness, norms); larger
+# blocks parse no faster and raise peak memory
 BLOCK_BYTES = 1 << 20
 
 
@@ -59,7 +61,10 @@ class EmbeddingStore:
     """A vocabulary with one dense row vector per word.
 
     Rows are kept in first-occurrence file order. `normalized` records whether
-    rows were rescaled to unit Euclidean length.
+    rows are read at unit Euclidean length: either `vectors` holds unit rows
+    (`normalize`), or `norms` holds each row's float64 length and `gather`
+    and `lookup` divide by it (`normalized_view`), leaving `vectors` as
+    loaded.
     """
 
     name: str
@@ -69,20 +74,20 @@ class EmbeddingStore:
     normalized: bool = False
     skipped_duplicates: int = 0
     index: dict[str, int] = field(repr=False, compare=False, default=None)
+    norms: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.vectors.shape != (len(self.vocabulary), self.dimension):
             raise ValueError("vector matrix shape does not match vocabulary/dimension")
-        if not np.all(np.isfinite(self.vectors)):
+        if _first_nonfinite_row(self.vectors) is not None:
             raise ValueError("non-finite vector entries")
         if self.index is None:
             idx = {w: i for i, w in enumerate(self.vocabulary)}
             if len(idx) != len(self.vocabulary):
                 raise ValueError("duplicate words in vocabulary")
             object.__setattr__(self, "index", idx)
-        if self.normalized:
-            norms = np.linalg.norm(np.asarray(self.vectors, dtype=np.float64), axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
+        if self.normalized and self.norms is None:
+            if np.any(np.abs(_row_norms(self.vectors) - 1.0) > 1e-9):
                 raise ValueError("store marked normalized but rows are not unit length")
 
     def __len__(self) -> int:
@@ -93,7 +98,20 @@ class EmbeddingStore:
         i = self.index.get(word)
         if i is None:
             return None
-        return self.vectors[i]
+        return self.vectors[i] if self.norms is None else self.gather(i)
+
+    def gather(self, rows) -> np.ndarray:
+        """The rows at `rows` (an index array of any shape) as float64,
+        divided by their `norms` when the store has them. Training and
+        scoring read the matrix only through here.
+
+        float64(x) / norm is the element `normalize` computes, so a view's
+        rows are bitwise those of the normalized copy.
+        """
+        X = self.vectors[rows]
+        if self.norms is None:
+            return np.asarray(X, dtype=np.float64)
+        return X / self.norms[rows][..., None]
 
 
 def _looks_like_header(line: str) -> bool:
@@ -115,10 +133,12 @@ def load_embedding(spec: EmbeddingSourceSpec) -> EmbeddingStore:
     the first data line; later lines with a different count raise
     EmbeddingParseError naming the 1-based line number, as do non-numeric
     tokens, bytes that are not UTF-8 and non-finite values (nan, inf, or
-    beyond the storage dtype's range).
+    beyond the storage dtype's range). Lines after the `max_words`-th
+    record are not read as data, so they are not checked.
     Duplicate words keep the first occurrence and bump `skipped_duplicates`.
     Values are parsed as float64 and stored as float32 unless `dtype` says
-    otherwise (see `load_embedding_dtype`).
+    otherwise (see `load_embedding_dtype`), straight into the one matrix
+    the store keeps: a load peaks at that matrix plus a few blocks of text.
     """
     return _load(spec, np.float32)
 
@@ -130,21 +150,33 @@ def load_embedding_dtype(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
 
 def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
     # Lines are read about BLOCK_BYTES at a time. Python splits off and
-    # bookkeeps the words; one np.loadtxt call parses a block's numbers.
+    # bookkeeps the words; one np.loadtxt call parses a block's numbers, and
+    # its kept rows go straight into one matrix, sized from the file and
+    # resized in place, so the matrix is never held twice.
     words: list[str] = []
     seen: dict[str, int] = {}
-    blocks: list[np.ndarray] = []
     kept_linenos: list[np.ndarray] = []
+    mat = None
     skipped = 0
     dim = None
     fmt = spec.format
-    lineno = 0
+    lineno = records = chars = 0
     full = False
-    with open_utf8(spec.path, EmbeddingParseError) as fh:
+    # undecodable bytes decode to lone surrogates, so a line is checked only
+    # when it is used: lines past `max_words` may hold anything
+    with open(spec.path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        size = os.fstat(fh.fileno()).st_size
         while not full and (lines := fh.readlines(BLOCK_BYTES)):
             linenos, rests, keep = [], [], []
             for line in lines:
                 lineno += 1
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise EmbeddingParseError(
+                            f"{spec.path}:{lineno}: not valid UTF-8"
+                        ) from None
                 if lineno == 1:
                     if fmt is None:
                         fmt = "header" if _looks_like_header(line) else "plain"
@@ -166,6 +198,8 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
                 if len(words) == spec.max_words:
                     full = True
                     break
+            chars += sum(map(len, lines))
+            records += len(rests)
             if not rests:
                 continue
             values = _parse_block(spec.path, rests, linenos, dim)
@@ -173,19 +207,25 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
             linenos = np.array(linenos)
             if not all(keep):
                 values, linenos = values[keep], linenos[keep]
+            if mat is None:
+                rows = _rows_estimate(spec, size, records, chars, len(words))
+                mat = np.empty((rows, dim), dtype)
+            elif len(words) > len(mat):
+                at_least = max(len(words), len(mat) + len(mat) // 8)
+                rows = _rows_estimate(spec, size, records, chars, at_least)
+                mat.resize((rows, dim), refcheck=False)
             with np.errstate(over="ignore"):
-                blocks.append(values.astype(dtype, copy=False))
+                mat[len(words) - len(values) : len(words)] = values
             kept_linenos.append(linenos)
     if not words:
         raise EmbeddingParseError(f"{spec.path}: no vector records found")
-    mat = np.concatenate(blocks)
-    del blocks  # free the per-block copies before the finiteness passes
+    mat.resize((len(words), dim), refcheck=False)
     # checked once after the cast, so values that overflow the storage dtype
     # (1e39 as float32) are caught with nan, inf and 1e999
-    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
-    if bad.size:
+    bad = _first_nonfinite_row(mat)
+    if bad is not None:
         raise EmbeddingParseError(
-            f"{spec.path}:{np.concatenate(kept_linenos)[bad[0]]}: "
+            f"{spec.path}:{np.concatenate(kept_linenos)[bad]}: "
             "non-finite vector component"
         )
     return EmbeddingStore(
@@ -196,6 +236,14 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
         skipped_duplicates=skipped,
         index=seen,
     )
+
+
+def _rows_estimate(spec, size: int, records: int, chars: int, at_least: int) -> int:
+    """Matrix rows for a file of `size` bytes: its records at the mean
+    length of the `records` read so far in `chars` characters, no fewer
+    than `at_least` and no more than `max_words`."""
+    rows = max(at_least, records * size // chars)
+    return rows if spec.max_words is None else min(rows, spec.max_words)
 
 
 def _parse_block(
@@ -282,27 +330,62 @@ def save_embedding(store: EmbeddingStore, path: str, header: bool = False) -> No
 
 
 def normalize(store: EmbeddingStore) -> EmbeddingStore:
-    """Rescale every row to unit Euclidean length.
+    """Rescale every row to unit Euclidean length, in a float64 copy.
 
     Idempotent: an already-normalized store is returned as is. Rows are
     upcast to float64 so unit norms hold to 1e-9.
     """
     if store.normalized:
         return store
-    mat = np.asarray(store.vectors, dtype=np.float64)
-    norms = np.linalg.norm(mat, axis=1)
+    norms = _nonzero_norms(store)
+    return replace(store, vectors=store.vectors / norms[:, None], normalized=True)
+
+
+def normalized_view(store: EmbeddingStore) -> EmbeddingStore:
+    """`normalize` without the copy: the same matrix, read as unit rows.
+
+    Keeps `vectors` as they are and sets `norms`, so `gather` returns
+    bitwise the rows of `normalize(store)`. Idempotent like `normalize`,
+    and raises the same error on a zero row.
+    """
+    if store.normalized:
+        return store
+    return replace(store, normalized=True, norms=_nonzero_norms(store))
+
+
+def _nonzero_norms(store: EmbeddingStore) -> np.ndarray:
+    norms = _row_norms(store.vectors)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"zero vector for word {store.vocabulary[zero[0]]!r}")
-    return EmbeddingStore(
-        name=store.name,
-        dimension=store.dimension,
-        vocabulary=store.vocabulary,
-        vectors=mat / norms[:, None],
-        normalized=True,
-        skipped_duplicates=store.skipped_duplicates,
-        index=store.index,
-    )
+    return norms
+
+
+def _row_chunks(mat: np.ndarray):
+    """(first row, row slice) pairs covering `mat`, each slice about
+    BLOCK_BYTES as float64, so a pass over the matrix allocates no
+    matrix-sized temporary."""
+    step = max(1, BLOCK_BYTES // (8 * max(1, mat.shape[1])))
+    for start in range(0, len(mat), step):
+        yield start, mat[start : start + step]
+
+
+def _row_norms(mat: np.ndarray) -> np.ndarray:
+    """float64 Euclidean length of each row of `mat`."""
+    norms = np.empty(len(mat))
+    for start, chunk in _row_chunks(mat):
+        chunk = np.asarray(chunk, dtype=np.float64)
+        norms[start : start + len(chunk)] = np.linalg.norm(chunk, axis=1)
+    return norms
+
+
+def _first_nonfinite_row(mat: np.ndarray) -> int | None:
+    """Index of the first row of `mat` with a nan or inf, or None."""
+    for start, chunk in _row_chunks(mat):
+        bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
+        if bad.size:
+            return start + int(bad[0])
+    return None
 
 
 def random_gaussian_embedding(

@@ -69,7 +69,7 @@ def train(
     below `early_stop_tol`. Deterministic in all inputs. Accumulation is in
     float64 regardless of the store's dtype.
     """
-    X = np.asarray(store.vectors[split.train_rows], dtype=np.float64)
+    X = store.gather(split.train_rows)
     y = split.train_labels()
 
     theta = np.zeros(X.shape[1])
@@ -128,7 +128,7 @@ def train_many(
     FloatingPointError if any model's loss turns non-finite.
     """
     rows = np.stack([s.train_rows for s in splits])
-    X = np.asarray(store.vectors[rows], dtype=np.float64)
+    X = store.gather(rows)
     y = splits[0].train_labels()
     k, epochs = len(splits), cfg.epochs
 
@@ -185,7 +185,7 @@ def score(model: PerceptronModel, store: EmbeddingStore, rows) -> np.ndarray:
     since BLAS `dgemv` may sum a row in an order that depends on its position
     and on the batch size; `einsum` reduces each row on its own.
     """
-    X = np.asarray(store.vectors[rows], dtype=np.float64)
+    X = store.gather(rows)
     return sigmoid(np.einsum("ij,j->i", X, model.weights) + model.bias)
 
 

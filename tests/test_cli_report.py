@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,8 @@ def test_eval_reruns_byte_identical(workspace, tmp_path):
 
 
 def test_eval_normalizes_once_per_embedding(workspace, tmp_path, monkeypatch):
+    """`--normalize` trains every fit on the loaded matrix itself, divided by
+    one set of row norms per command: zero matrix copies."""
     from conceptlearn import cli, embeddings, experiment
 
     ws, manifest = workspace
@@ -117,20 +120,28 @@ def test_eval_normalizes_once_per_embedding(workspace, tmp_path, monkeypatch):
     gamma.write_text("\n".join(f"w{i:03d}" for i in range(80, 90)) + "\n")
     three = ws / "three.ini"
     three.write_text(manifest.read_text() + f"gamma = {gamma}\n")
-    rebuilt = []
+    loaded, read = [], []
 
-    def counting_normalize(store):
-        if not store.normalized:
-            rebuilt.append(store.name)
-        return embeddings.normalize(store)
+    def tracking_load(spec):
+        store = embeddings.load_embedding(spec)
+        loaded.append(store.vectors)
+        return store
 
-    monkeypatch.setattr(cli, "normalize", counting_normalize)
-    monkeypatch.setattr(experiment, "normalize", counting_normalize)
+    monkeypatch.setattr(cli, "load_embedding", tracking_load)
+    for attr in ("train", "train_many", "score"):
+        def spy(first, store, *rest, _fn=getattr(experiment, attr)):
+            read.append((store.vectors, store.norms))
+            return _fn(first, store, *rest)
+
+        monkeypatch.setattr(experiment, attr, spy)
     out = tmp_path / "out"
-    assert main(["eval", str(three), "--normalize"] + quick_args(out)) == 0
-    assert rebuilt == ["gauss"]
-    assert main(["null", str(three), "--normalize"] + quick_args(out)) == 0
-    assert rebuilt == ["gauss", "gauss"]
+    for command in ("eval", "null"):
+        read.clear()
+        assert main([command, str(three), "--normalize"] + quick_args(out)) == 0
+        assert read and all(vectors is loaded[-1] for vectors, _ in read)
+        assert len({id(norms) for _, norms in read}) == 1
+        assert read[0][1] is not None
+    assert len(loaded) == 2
 
     # the reports equal those of the library normalizing inside every call
     spec = embeddings.EmbeddingSourceSpec(path=str(ws / "emb.txt"), lowercase=True)
@@ -145,13 +156,41 @@ def test_eval_normalizes_once_per_embedding(workspace, tmp_path, monkeypatch):
                            ("gamma", gamma))
     ]
     null = run_null(raw, cfg)
-    assert rebuilt == ["gauss"] * 6  # three concepts and the null
     assert (out / "gauss-eval.jsonl").read_text() == report.eval_report_jsonl(
         "gauss", aggregates, null, cfg
     )
     assert (out / "gauss-null.jsonl").read_text() == report.null_report_jsonl(
         "gauss", null, cfg
     )
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+def test_each_embedding_is_freed_before_the_next_loads(
+    workspace, tmp_path, monkeypatch, command, normalize
+):
+    from conceptlearn import cli, embeddings
+
+    ws, manifest = workspace
+    second = ws / "emb2.txt"
+    second.write_text((ws / "emb.txt").read_text())
+    two = ws / "two.ini"
+    two.write_text(manifest.read_text().replace(
+        "[concepts]", f"other = {second}\n\n[concepts]"
+    ))
+    matrices, alive = [], []
+
+    def tracking_load(spec):
+        alive.append(sum(ref() is not None for ref in matrices))
+        store = embeddings.load_embedding(spec)
+        matrices.append(weakref.ref(store.vectors))
+        return store
+
+    monkeypatch.setattr(cli, "load_embedding", tracking_load)
+    names = ["gauss", "other"] if command == "compare" else []
+    argv = [command, str(two), *names] + quick_args(tmp_path / "out") + normalize
+    assert main(argv) == 0
+    assert alive == [0, 0]
 
 
 def test_eval_jsonl_names_the_reported_embedding():

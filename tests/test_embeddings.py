@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from conceptlearn import (
     random_gaussian_embedding,
     save_embedding,
 )
+from conceptlearn.embeddings import normalized_view
 
 
 def test_load_plain_file(tiny_store):
@@ -169,6 +172,45 @@ def test_normalized_lookup_composes(small_store):
     assert np.allclose(normed.lookup("cat"), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normalized_view_reads_the_rows_of_normalize(dtype):
+    rng = np.random.default_rng(5)
+    vectors = (rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-3, 4, (300, 1)))
+    store = EmbeddingStore(
+        name="v", dimension=7, vocabulary=tuple(f"w{i}" for i in range(300)),
+        vectors=vectors.astype(dtype),
+    )
+    copy, view = normalize(store), normalized_view(store)
+    assert view.normalized and view.vectors is store.vectors
+    assert view.index is store.index and normalized_view(view) is view
+    rows = rng.integers(0, 300, size=(4, 9))
+    assert view.gather(rows).tobytes() == copy.gather(rows).tobytes()
+    assert view.gather(rows).tobytes() == copy.vectors[rows].tobytes()
+    assert view.lookup("w17").tobytes() == copy.lookup("w17").tobytes()
+    assert store.gather(rows).dtype == np.float64
+
+
+def test_normalized_view_rejects_zero_vector_like_normalize():
+    store = EmbeddingStore(
+        name="z", dimension=2, vocabulary=("ok", "zero"),
+        vectors=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.float32),
+    )
+    with pytest.raises(ValueError, match="^zero vector for word 'zero'$"):
+        normalized_view(store)
+
+
+def test_row_passes_do_not_depend_on_the_chunk(monkeypatch):
+    rng = np.random.default_rng(9)
+    vectors = rng.standard_normal((50, 33)) * 10.0 ** rng.integers(-5, 6, (50, 1))
+    vectors[41, 7] = np.inf
+    whole = np.linalg.norm(vectors, axis=1)
+    for block_bytes in (1, 8 * 33 * 3, 1 << 20):
+        monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
+        assert embeddings._row_norms(vectors).tobytes() == whole.tobytes()
+        assert embeddings._first_nonfinite_row(vectors) == 41
+        assert embeddings._first_nonfinite_row(vectors[:41]) is None
+
+
 def test_gaussian_moments():
     vocab = [f"w{i}" for i in range(10_000)]
     store = random_gaussian_embedding(vocab, 300, seed=99)
@@ -279,10 +321,10 @@ def _reference_load(spec, dtype):
 def _outcome(load):
     """What a loader made of a file: its records byte for byte, or its error."""
     try:
-        vocab, mat, skipped = load()
+        vocab, mat, *rest = load()
     except EmbeddingParseError as exc:
         return "error", str(exc)
-    return vocab, mat.dtype.str, mat.shape, mat.tobytes(), skipped
+    return vocab, mat.dtype.str, mat.shape, mat.tobytes(), *rest
 
 
 def _block_load(spec, dtype):
@@ -301,6 +343,7 @@ def _formatted(fmt):
 
 
 _LINES = "".join(f"w{i} {i}.5 -{i}\n" for i in range(8))  # lines 1-8, several blocks
+_LONG_LINE = "long " + "1.00000000000000000000000000 " * 2 + "\n"
 _ORACLE_CASES = {
     "repr": (_formatted(repr), {}),
     "g12": (_formatted(lambda v: "%.12g" % v), {}),
@@ -334,6 +377,12 @@ _ORACLE_CASES = {
     "hash-comment-value": (_LINES + "x 1 #\n", {}),
     "underscore-digits": (_LINES + "x 1_0 2\n" + _LINES.replace("w", "v"), {}),
     "arabic-indic-digits": ("a ١٢ 1\n" + _LINES, {}),
+    # the matrix is sized from the first block: long lines there make the
+    # estimate short, so it grows; a header, blank lines, duplicates and a
+    # max_words above the distinct words make it too high, so it is trimmed
+    "estimate-short": (_LONG_LINE + "".join(f"s{i} {i} -{i}\n" for i in range(60)), {}),
+    "estimate-high": ("30 2\n\n\n" + "a 1 2\nb 3 4\n" * 15, {"max_words": 5}),
+    "estimate-capped": (_LINES * 3, {"max_words": 5}),
 }
 
 
@@ -350,6 +399,140 @@ def test_block_parser_matches_line_loop(tmp_path, monkeypatch, case, block_bytes
         assert _outcome(lambda: _block_load(spec, dtype)) == _outcome(
             lambda: _reference_load(spec, dtype)
         )
+
+
+def _block_list_load(spec, dtype):
+    """The loader before the preallocated matrix: a list of per-block
+    arrays joined by np.concatenate, with one whole-matrix finite check.
+    Kept as the oracle of the current loader."""
+    words, seen, blocks, kept_linenos = [], {}, [], []
+    skipped = 0
+    dim = None
+    fmt = spec.format
+    lineno = 0
+    full = False
+    with embeddings.open_utf8(spec.path, EmbeddingParseError) as fh:
+        while not full and (lines := fh.readlines(embeddings.BLOCK_BYTES)):
+            linenos, rests, keep = [], [], []
+            for line in lines:
+                lineno += 1
+                if lineno == 1:
+                    if fmt is None:
+                        fmt = "header" if embeddings._looks_like_header(line) else "plain"
+                    if fmt == "header":
+                        continue
+                parts = line.split(None, 1)
+                if not parts:
+                    continue
+                word = parts[0].lower() if spec.lowercase else parts[0]
+                linenos.append(lineno)
+                rests.append(parts[1] if len(parts) > 1 else "")
+                if word in seen:
+                    skipped += 1
+                    keep.append(False)
+                    continue
+                keep.append(True)
+                seen[word] = len(words)
+                words.append(word)
+                if len(words) == spec.max_words:
+                    full = True
+                    break
+            if not rests:
+                continue
+            values = embeddings._parse_block(spec.path, rests, linenos, dim)
+            dim = values.shape[1]
+            linenos = np.array(linenos)
+            if not all(keep):
+                values, linenos = values[keep], linenos[keep]
+            with np.errstate(over="ignore"):
+                blocks.append(values.astype(dtype, copy=False))
+            kept_linenos.append(linenos)
+    if not words:
+        raise EmbeddingParseError(f"{spec.path}: no vector records found")
+    mat = np.concatenate(blocks)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise EmbeddingParseError(
+            f"{spec.path}:{np.concatenate(kept_linenos)[bad[0]]}: "
+            "non-finite vector component"
+        )
+    return tuple(words), mat, skipped, seen
+
+
+def _preallocated_load(spec, dtype):
+    store = load_embedding_dtype(spec, dtype)
+    return store.vocabulary, store.vectors, store.skipped_duplicates, store.index
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block_bytes", [1, 40, embeddings.BLOCK_BYTES])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_preallocated_loader_matches_block_list(tmp_path, monkeypatch, case, block_bytes):
+    text, kw = _ORACLE_CASES[case]
+    path = tmp_path / "v.txt"
+    path.write_bytes(text.encode("utf-8"))
+    spec = EmbeddingSourceSpec(path=str(path), **kw)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
+    for dtype in (np.float32, np.float64):
+        assert _outcome(lambda: _preallocated_load(spec, dtype)) == _outcome(
+            lambda: _block_list_load(spec, dtype)
+        )
+
+
+@pytest.mark.parametrize("block_bytes", [1, 40])
+def test_sizing_cases_take_each_branch(tmp_path, monkeypatch, block_bytes):
+    """The estimate-* oracle files do grow, trim and cap the matrix."""
+    estimate, estimates = embeddings._rows_estimate, []
+
+    def spy(*args):
+        estimates.append(estimate(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(embeddings, "_rows_estimate", spy)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
+    first = {}
+    for case in ("estimate-short", "estimate-high", "estimate-capped"):
+        text, kw = _ORACLE_CASES[case]
+        path = tmp_path / f"{case}.txt"
+        path.write_text(text)
+        estimates.clear()
+        rows = len(load_embedding(EmbeddingSourceSpec(path=str(path), **kw)))
+        first[case] = (estimates[0], len(estimates), rows)
+    short_first, short_calls, short_rows = first["estimate-short"]
+    assert short_first < short_rows and short_calls > 1  # grown in place
+    high_first, _, high_rows = first["estimate-high"]
+    assert high_first == 5 > high_rows == 2  # capped at max_words, then trimmed
+    assert first["estimate-capped"] == (5, 1, 5)
+
+
+def test_max_words_ignores_bytes_after_the_last_word(tmp_path):
+    p = tmp_path / "tail.txt"
+    p.write_bytes(b"a 1 2\nb 3 4\nc \xe9 5\n")
+    store = load_embedding(EmbeddingSourceSpec(path=str(p), max_words=2))
+    assert store.vocabulary == ("a", "b")
+    with pytest.raises(EmbeddingParseError, match=r"tail\.txt:3: not valid UTF-8$"):
+        load_embedding(EmbeddingSourceSpec(path=str(p)))
+
+
+def test_load_holds_the_matrix_once(tmp_path, monkeypatch):
+    """Peak traced memory of a load is what the store keeps (matrix,
+    vocabulary, index) plus a few blocks: no second matrix, no matrix-sized
+    temporary."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "big.txt"
+    with open(path, "w") as fh:
+        for i, row in enumerate(rng.standard_normal((4000, 64))):
+            fh.write(f"w{i} " + " ".join("%.6f" % v for v in row) + "\n")
+    block = 32 * 1024
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", block)
+    tracemalloc.start()
+    try:
+        store = load_embedding(EmbeddingSourceSpec(path=str(path)))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.vectors.nbytes == 4000 * 64 * 4 > 16 * block
+    assert peak - kept <= 8 * block
 
 
 _SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]

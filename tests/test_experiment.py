@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conceptlearn import (
     TrainConfig,
     empirical_p_value,
     format_p_value,
+    normalize,
     random_concept,
     random_gaussian_embedding,
     run_concept,
@@ -105,6 +108,42 @@ def test_run_concept_normalize_flag(gaussian_store):
     raw = run_concept(gaussian_store, rc, quick_cfg())
     normed = run_concept(gaussian_store, rc, cfg)
     assert raw.means != normed.means  # different inputs, same protocol
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim, size", [(8, 10), (300, 120)])  # stacked, serial fits
+def test_normalize_on_gather_matches_the_normalized_copy(dtype, dim, size):
+    rng = np.random.default_rng(11)
+    store = EmbeddingStore(
+        name="g", dimension=dim, vocabulary=tuple(f"w{i}" for i in range(400)),
+        vectors=(rng.standard_normal((400, dim)) * 3.0).astype(dtype),
+    )
+    cfg = quick_cfg(normalize=True, random_list_size=size)
+    rc = random_concept(store, size, seed=3, name="c")
+    copy = normalize(store)
+    for workers in (1, 2):
+        assert run_concept(store, rc, cfg, workers).records == run_concept(
+            copy, rc, cfg, workers
+        ).records
+    assert run_null(store, cfg).per_list == run_null(copy, cfg).per_list
+
+
+def test_normalize_allocates_no_matrix_copy():
+    vocab, dim = tuple(f"w{i}" for i in range(40000)), 50
+    vectors = np.random.default_rng(1).standard_normal((40000, dim), dtype=np.float32)
+    store = EmbeddingStore(name="m", dimension=dim, vocabulary=vocab, vectors=vectors)
+    cfg = quick_cfg(normalize=True, random_list_count=2, random_list_size=20)
+    rc = random_concept(store, 30, seed=1, name="c")
+    tracemalloc.start()
+    try:
+        for run in (lambda: run_concept(store, rc, cfg), lambda: run_null(store, cfg)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            grown = tracemalloc.get_traced_memory()[1] - before
+            assert grown < vectors.nbytes  # a float64 copy is twice that
+    finally:
+        tracemalloc.stop()
 
 
 def test_separable_concept_learnable():
