@@ -151,8 +151,9 @@ def load_embedding_dtype(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
 def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
     # Lines are read about BLOCK_BYTES at a time. Python splits off and
     # bookkeeps the words; one np.loadtxt call parses a block's numbers, and
-    # its kept rows go straight into one matrix, sized from the file and
-    # resized in place, so the matrix is never held twice.
+    # its kept rows go straight into one matrix, sized from the file with a
+    # margin and trimmed in place, so the matrix is held once unless the
+    # estimate falls short and a grow moves it (see _rows_estimate).
     words: list[str] = []
     seen: dict[str, int] = {}
     kept_linenos: list[np.ndarray] = []
@@ -240,9 +241,15 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
 
 def _rows_estimate(spec, size: int, records: int, chars: int, at_least: int) -> int:
     """Matrix rows for a file of `size` bytes: its records at the mean
-    length of the `records` read so far in `chars` characters, no fewer
-    than `at_least` and no more than `max_words`."""
-    rows = max(at_least, records * size // chars)
+    length of the `records` read so far in `chars` characters plus 1/64,
+    no fewer than `at_least` and no more than `max_words`. The margin
+    absorbs the drift of line lengths through a file, so a file of evenly
+    long lines is not grown: a grow may move the matrix to a new
+    allocation, and whether it does depends on the allocator's state, so
+    peak memory would depend on the last digits of the estimate. Rows past
+    the last record are never written, so they take address space only."""
+    estimate = records * size // chars
+    rows = max(at_least, estimate + estimate // 64)
     return rows if spec.max_words is None else min(rows, spec.max_words)
 
 

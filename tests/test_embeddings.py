@@ -505,6 +505,30 @@ def test_sizing_cases_take_each_branch(tmp_path, monkeypatch, block_bytes):
     assert first["estimate-capped"] == (5, 1, 5)
 
 
+def test_slightly_longer_first_lines_do_not_grow_the_matrix(tmp_path, monkeypatch):
+    """The first block's lines are 1% longer than the file's mean, so its
+    bare rate undercounts the records; the margin covers that without a
+    grow, whose cost would depend on where the allocator puts the matrix."""
+    calls = []
+    estimate = embeddings._rows_estimate
+
+    def spy(*args):
+        calls.append(args[1:4])  # size, records, chars
+        return estimate(*args)
+
+    monkeypatch.setattr(embeddings, "_rows_estimate", spy)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 1024)
+    values = " ".join(f"{v:.3f}" for v in np.linspace(-1, 1, 40)) + "\n"
+    path = tmp_path / "v.txt"
+    path.write_text("".join(
+        (f"word{i:04d} " if i < 40 else f"w{i:04d} ") + values for i in range(400)
+    ))
+    store = load_embedding(EmbeddingSourceSpec(path=str(path)))
+    assert len(store) == 400
+    [(size, records, chars)] = calls
+    assert 0.985 * 400 < records * size // chars < 400
+
+
 def test_max_words_ignores_bytes_after_the_last_word(tmp_path):
     p = tmp_path / "tail.txt"
     p.write_bytes(b"a 1 2\nb 3 4\nc \xe9 5\n")
