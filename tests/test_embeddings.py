@@ -344,6 +344,7 @@ def _formatted(fmt):
 
 _LINES = "".join(f"w{i} {i}.5 -{i}\n" for i in range(8))  # lines 1-8, several blocks
 _LONG_LINE = "long " + "1.00000000000000000000000000 " * 2 + "\n"
+_FORTY_VALUES = " ".join(f"{v:.3f}" for v in np.linspace(-1, 1, 40)) + "\n"
 _ORACLE_CASES = {
     "repr": (_formatted(repr), {}),
     "g12": (_formatted(lambda v: "%.12g" % v), {}),
@@ -379,8 +380,12 @@ _ORACLE_CASES = {
     "arabic-indic-digits": ("a ١٢ 1\n" + _LINES, {}),
     # the matrix is sized from the first block: long lines there make the
     # estimate short, so it grows; a header, blank lines, duplicates and a
-    # max_words above the distinct words make it too high, so it is trimmed
+    # max_words above the distinct words make it too high, so it is trimmed;
+    # first lines 1% longer than the mean stay within the estimate's margin
     "estimate-short": (_LONG_LINE + "".join(f"s{i} {i} -{i}\n" for i in range(60)), {}),
+    "estimate-margin": ("".join(
+        (f"word{i:04d} " if i < 40 else f"w{i:04d} ") + _FORTY_VALUES for i in range(400)
+    ), {}),
     "estimate-high": ("30 2\n\n\n" + "a 1 2\nb 3 4\n" * 15, {"max_words": 5}),
     "estimate-capped": (_LINES * 3, {"max_words": 5}),
 }
@@ -481,7 +486,8 @@ def test_preallocated_loader_matches_block_list(tmp_path, monkeypatch, case, blo
 
 @pytest.mark.parametrize("block_bytes", [1, 40])
 def test_sizing_cases_take_each_branch(tmp_path, monkeypatch, block_bytes):
-    """The estimate-* oracle files do grow, trim and cap the matrix."""
+    """The estimate-* oracle files do grow, trim and cap the matrix, and a
+    slightly short bare estimate is covered by the margin, not grown."""
     estimate, estimates = embeddings._rows_estimate, []
 
     def spy(*args):
@@ -491,7 +497,7 @@ def test_sizing_cases_take_each_branch(tmp_path, monkeypatch, block_bytes):
     monkeypatch.setattr(embeddings, "_rows_estimate", spy)
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
     first = {}
-    for case in ("estimate-short", "estimate-high", "estimate-capped"):
+    for case in ("estimate-short", "estimate-high", "estimate-capped", "estimate-margin"):
         text, kw = _ORACLE_CASES[case]
         path = tmp_path / f"{case}.txt"
         path.write_text(text)
@@ -503,30 +509,9 @@ def test_sizing_cases_take_each_branch(tmp_path, monkeypatch, block_bytes):
     high_first, _, high_rows = first["estimate-high"]
     assert high_first == 5 > high_rows == 2  # capped at max_words, then trimmed
     assert first["estimate-capped"] == (5, 1, 5)
-
-
-def test_slightly_longer_first_lines_do_not_grow_the_matrix(tmp_path, monkeypatch):
-    """The first block's lines are 1% longer than the file's mean, so its
-    bare rate undercounts the records; the margin covers that without a
-    grow, whose cost would depend on where the allocator puts the matrix."""
-    calls = []
-    estimate = embeddings._rows_estimate
-
-    def spy(*args):
-        calls.append(args[1:4])  # size, records, chars
-        return estimate(*args)
-
-    monkeypatch.setattr(embeddings, "_rows_estimate", spy)
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 1024)
-    values = " ".join(f"{v:.3f}" for v in np.linspace(-1, 1, 40)) + "\n"
-    path = tmp_path / "v.txt"
-    path.write_text("".join(
-        (f"word{i:04d} " if i < 40 else f"w{i:04d} ") + values for i in range(400)
-    ))
-    store = load_embedding(EmbeddingSourceSpec(path=str(path)))
-    assert len(store) == 400
-    [(size, records, chars)] = calls
-    assert 0.985 * 400 < records * size // chars < 400
+    margin_first, margin_calls, margin_rows = first["estimate-margin"]
+    assert margin_first * 64 // 65 < margin_rows == 400 <= margin_first
+    assert margin_calls == 1
 
 
 def test_max_words_ignores_bytes_after_the_last_word(tmp_path):
