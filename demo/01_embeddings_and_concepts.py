@@ -27,6 +27,11 @@ vectors.write_text(
     "cousin 0.7 0.1 0.2\n"
     "carburetor -0.5 0.9 0.3\n"
     "spreadsheet -0.4 0.8 0.4\n"
+    "teapot -0.3 0.7 0.6\n"  # resolve needs 2n + 2 words for an n-word concept
+    "glacier -0.6 0.2 0.9\n"
+    "violin -0.2 0.5 0.7\n"
+    "compass -0.7 0.6 0.1\n"
+    "lantern -0.1 0.9 0.5\n"
     "mom 9.0 9.0 9.0\n"  # duplicate: first occurrence wins
 )
 

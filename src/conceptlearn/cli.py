@@ -10,16 +10,21 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import report, stats
-from .concepts import ConceptError, expand_wildcards, load_concept, resolve
+from .concepts import (
+    ConceptError,
+    check_vocabulary_size,
+    expand_wildcards,
+    load_concept,
+    resolve,
+)
 from .embeddings import (
     EmbeddingParseError,
     EmbeddingSourceSpec,
     load_embedding,
     normalize,
-    normalized_view,
     open_utf8,
     random_gaussian_embedding,
     save_embedding,
@@ -109,19 +114,18 @@ def _experiment_config(args) -> ExperimentConfig:
         raise InputError(str(exc)) from exc
 
 
-def _load_named_embedding(name: str, spec: EmbeddingSourceSpec, cfg):
+def _load_named_embedding(manifest: RunManifest, name: str, cfg):
     """Load a manifest embedding. When cfg says to normalize, its row norms
     are computed once here, so `run_concept` and `run_null` do not each
     redo them; the matrix itself is not copied."""
-    store = replace(load_embedding(spec), name=name)
-    return normalized_view(store) if cfg.normalize else store
+    store = load_embedding(manifest.embedding(name))
+    return normalize(store) if cfg.normalize else store
 
 
-def _evaluate_embedding(manifest: RunManifest, name: str, cfg, workers: int):
-    """Load one manifest embedding and run every manifest concept on it."""
-    store = _load_named_embedding(name, manifest.embedding(name), cfg)
+def _evaluate_embedding(manifest: RunManifest, store, cfg, workers: int):
+    """Run every manifest concept on one loaded embedding."""
     resolved = [resolve(load_concept(path, c), store) for c, path in manifest.concepts]
-    return store, [run_concept(store, rc, cfg, workers=workers) for rc in resolved]
+    return [run_concept(store, rc, cfg, workers=workers) for rc in resolved]
 
 
 def _write(outdir: str, filename: str, text: str) -> None:
@@ -141,7 +145,9 @@ def cmd_eval(args) -> int:
                 f"unknown format {fmt!r} (choose from {','.join(EVAL_FORMATS)})"
             )
     for name, _ in manifest.embeddings:
-        store, aggregates = _evaluate_embedding(manifest, name, cfg, args.workers)
+        store = _load_named_embedding(manifest, name, cfg)
+        check_vocabulary_size(cfg.random_list_size, len(store))  # before any fit
+        aggregates = _evaluate_embedding(manifest, store, cfg, args.workers)
         null = run_null(store, cfg, workers=args.workers)
         del store  # free this matrix before the next embedding loads
         for fmt, render in EVAL_FORMATS.items():
@@ -156,7 +162,8 @@ def cmd_null(args) -> int:
     cfg = _experiment_config(args)
     names = [n for n, _ in manifest.embeddings]
     name = args.embedding or names[0]
-    store = _load_named_embedding(name, manifest.embedding(name), cfg)
+    store = _load_named_embedding(manifest, name, cfg)
+    check_vocabulary_size(cfg.random_list_size, len(store))
     null = run_null(store, cfg, workers=args.workers)
     _write(args.out, f"{name}-null.txt", report.null_report_text(name, null, cfg))
     _write(args.out, f"{name}-null.jsonl", report.null_report_jsonl(name, null, cfg))
@@ -171,7 +178,9 @@ def cmd_compare(args) -> int:
     for name in (args.embedding_a, args.embedding_b):
         # only the aggregates are kept, so the first matrix is freed before
         # the second loads
-        aggregates = _evaluate_embedding(manifest, name, cfg, args.workers)[1]
+        store = _load_named_embedding(manifest, name, cfg)
+        aggregates = _evaluate_embedding(manifest, store, cfg, args.workers)
+        del store
         aucs[name] = {agg.concept_name: agg.means["auc"] for agg in aggregates}
     names = [n for n, _ in manifest.concepts]
     a = [aucs[args.embedding_a][n] for n in names]
@@ -220,9 +229,7 @@ def cmd_gen_random_embedding(args) -> int:
         store = random_gaussian_embedding(vocab, args.dim, args.seed, name="gaussian")
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.normalize:
-        store = normalize(store)
-    save_embedding(store, args.out_file)
+    save_embedding(normalize(store) if args.normalize else store, args.out_file)
     return 0
 
 

@@ -17,6 +17,17 @@ class ConceptError(ValueError):
     pass
 
 
+def check_vocabulary_size(n: int, vocabulary_size: int) -> None:
+    """Raise ConceptError unless a vocabulary of `vocabulary_size` words is
+    large enough to split an n-word list against disjoint negatives:
+    V >= 2n + 2."""
+    if vocabulary_size < 2 * n + 2:
+        raise ConceptError(
+            f"vocabulary of {vocabulary_size} too small for disjoint negatives "
+            f"on a concept of {n} words"
+        )
+
+
 @dataclass(frozen=True)
 class Concept:
     name: str
@@ -74,8 +85,8 @@ def load_concept(path: str, name: str) -> Concept:
                 continue
             if "*" in word:
                 raise ConceptError(
-                    f"{path}:{lineno}: wildcard entry {word!r}; run the "
-                    "expand-wildcards utility (--expand-wildcards) first"
+                    f"{path}:{lineno}: wildcard entry {word!r}; expand it "
+                    "first with `conceptlearn expand-wildcards`"
                 )
             words.add(word.lower())
     if not words:
@@ -110,7 +121,8 @@ def resolve(concept: Concept, store: EmbeddingStore) -> ResolvedConcept:
     """Partition a concept's words into in-vocabulary and dropped.
 
     Fewer than MIN_RESOLVED_SIZE usable words cannot form nondegenerate
-    train and test halves and raise.
+    train and test halves and raise, as does a list too large for the
+    vocabulary (`check_vocabulary_size`).
     """
     in_vocab = sorted(w for w in concept.words if w in store.index)
     dropped = sorted(concept.words - set(in_vocab))
@@ -119,6 +131,7 @@ def resolve(concept: Concept, store: EmbeddingStore) -> ResolvedConcept:
             f"concept {concept.name!r} too small after vocabulary "
             f"resolution ({len(in_vocab)} < {MIN_RESOLVED_SIZE})"
         )
+    check_vocabulary_size(len(in_vocab), len(store))
     return ResolvedConcept(
         concept=concept,
         embedding_name=store.name,

@@ -60,18 +60,15 @@ class EmbeddingSourceSpec:
 class EmbeddingStore:
     """A vocabulary with one dense row vector per word.
 
-    Rows are kept in first-occurrence file order. `normalized` records whether
-    rows are read at unit Euclidean length: either `vectors` holds unit rows
-    (`normalize`), or `norms` holds each row's float64 length and `gather`
-    and `lookup` divide by it (`normalized_view`), leaving `vectors` as
-    loaded.
+    Rows are kept in first-occurrence file order. `vectors` holds them as
+    loaded; a store from `normalize` also holds each row's float64 length
+    in `norms`, and `gather` and `lookup` divide by it.
     """
 
     name: str
     dimension: int
     vocabulary: tuple[str, ...]
     vectors: np.ndarray
-    normalized: bool = False
     skipped_duplicates: int = 0
     index: dict[str, int] = field(repr=False, compare=False, default=None)
     norms: np.ndarray | None = field(repr=False, compare=False, default=None)
@@ -86,9 +83,11 @@ class EmbeddingStore:
             if len(idx) != len(self.vocabulary):
                 raise ValueError("duplicate words in vocabulary")
             object.__setattr__(self, "index", idx)
-        if self.normalized and self.norms is None:
-            if np.any(np.abs(_row_norms(self.vectors) - 1.0) > 1e-9):
-                raise ValueError("store marked normalized but rows are not unit length")
+
+    @property
+    def normalized(self) -> bool:
+        """Whether rows are read at unit Euclidean length."""
+        return self.norms is not None
 
     def __len__(self) -> int:
         return len(self.vocabulary)
@@ -101,13 +100,9 @@ class EmbeddingStore:
         return self.vectors[i] if self.norms is None else self.gather(i)
 
     def gather(self, rows) -> np.ndarray:
-        """The rows at `rows` (an index array of any shape) as float64,
-        divided by their `norms` when the store has them. Training and
-        scoring read the matrix only through here.
-
-        float64(x) / norm is the element `normalize` computes, so a view's
-        rows are bitwise those of the normalized copy.
-        """
+        """The rows at `rows` (an index array of any shape, or a slice) as
+        float64, divided by their `norms` when the store has them. Training,
+        scoring and `save_embedding` read the matrix only through here."""
         X = self.vectors[rows]
         if self.norms is None:
             return np.asarray(X, dtype=np.float64)
@@ -325,47 +320,41 @@ def not_utf8(path: str) -> str:
 
 
 def save_embedding(store: EmbeddingStore, path: str, header: bool = False) -> None:
-    """Write the store back as a text vector file (12 significant digits)."""
+    """Write the store's rows as `gather` reads them (unit rows for a
+    normalized store) to a text vector file, 12 significant digits."""
     # per-row tolist() gives the digits of per-value formatting without a
     # whole-matrix list of Python floats in memory
     fmt = " ".join(["%.12g"] * store.dimension)
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"{len(store)} {store.dimension}\n")
-        for word, row in zip(store.vocabulary, store.vectors):
-            fh.write(word + " " + fmt % tuple(row.tolist()) + "\n")
+        for start, chunk in _row_chunks(store.vectors):
+            stop = start + len(chunk)
+            rows = store.gather(slice(start, stop))
+            for word, row in zip(store.vocabulary[start:stop], rows):
+                fh.write(word + " " + fmt % tuple(row.tolist()) + "\n")
 
 
 def normalize(store: EmbeddingStore) -> EmbeddingStore:
-    """Rescale every row to unit Euclidean length, in a float64 copy.
+    """The store read at unit Euclidean length: the same `vectors`, plus
+    each row's float64 length in `norms`, by which `gather` divides.
 
-    Idempotent: an already-normalized store is returned as is. Rows are
-    upcast to float64 so unit norms hold to 1e-9.
+    Idempotent: an already-normalized store is returned as is. A row whose
+    norm is zero, or overflows float64, raises ValueError naming its word.
     """
     if store.normalized:
         return store
-    norms = _nonzero_norms(store)
-    return replace(store, vectors=store.vectors / norms[:, None], normalized=True)
-
-
-def normalized_view(store: EmbeddingStore) -> EmbeddingStore:
-    """`normalize` without the copy: the same matrix, read as unit rows.
-
-    Keeps `vectors` as they are and sets `norms`, so `gather` returns
-    bitwise the rows of `normalize(store)`. Idempotent like `normalize`,
-    and raises the same error on a zero row.
-    """
-    if store.normalized:
-        return store
-    return replace(store, normalized=True, norms=_nonzero_norms(store))
-
-
-def _nonzero_norms(store: EmbeddingStore) -> np.ndarray:
-    norms = _row_norms(store.vectors)
+    with np.errstate(over="ignore"):
+        norms = _row_norms(store.vectors)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"zero vector for word {store.vocabulary[zero[0]]!r}")
-    return norms
+    huge = np.flatnonzero(~np.isfinite(norms))
+    if huge.size:
+        raise ValueError(
+            f"vector norm overflows float64 for word {store.vocabulary[huge[0]]!r}"
+        )
+    return replace(store, norms=norms)
 
 
 def _row_chunks(mat: np.ndarray):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concepts import MIN_RESOLVED_SIZE, ResolvedConcept, random_concept
-from .embeddings import EmbeddingStore, normalized_view
+from .embeddings import EmbeddingStore, normalize
 from .metrics import METRIC_NAMES, MetricsRecord, evaluate_scores
 from .perceptron import TrainConfig, score, stack_size, train, train_many
 from .splits import make_split, train_positives
@@ -41,6 +41,8 @@ class ExperimentConfig:
             raise ValueError("random_list_count must be >= 1")
         if self.random_list_size < MIN_RESOLVED_SIZE:
             raise ValueError(f"random_list_size must be >= {MIN_RESOLVED_SIZE}")
+        if not 0.0 <= self.threshold <= 1.0:  # NaN fails too
+            raise ValueError("threshold must be a number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def run_concept(
     Small concepts train their iterations in stacks of `stack_size`, cut so
     every worker gets one; the records do not depend on the cut."""
     if cfg.normalize:
-        store = normalized_view(store)
+        store = normalize(store)
     n = cfg.iterations
     train_rows = 2 * train_positives(resolved.size)
     k = min(stack_size(train_rows, store.dimension), math.ceil(n / max(1, workers)))
@@ -202,7 +204,7 @@ def run_null(
     per-metric average.
     """
     if cfg.normalize:
-        store = normalized_view(store)  # once here; idempotent in run_concept
+        store = normalize(store)  # once here; idempotent in run_concept
     ctx = (store, cfg, frozenset(exclude))
     per_list = _map_tasks(
         _null_task, "null", ctx, range(cfg.random_list_count), workers

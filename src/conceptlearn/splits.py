@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concepts import MIN_RESOLVED_SIZE, ResolvedConcept
+from .concepts import MIN_RESOLVED_SIZE, ResolvedConcept, check_vocabulary_size
 from .embeddings import EmbeddingStore, stream
 
 
@@ -79,11 +79,7 @@ def make_split(
     n = resolved.size
     if n < MIN_RESOLVED_SIZE:
         raise ValueError(f"concept of {n} words is too small to split")
-    if len(store) < 2 * n + 2:
-        raise ValueError(
-            f"vocabulary of {len(store)} too small for disjoint negatives "
-            f"on a concept of {n} words"
-        )
+    check_vocabulary_size(n, len(store))
     rng = split_rng(master_seed, resolved.concept.name, iteration_index)
     rows = np.array([store.index[w] for w in resolved.in_vocab], dtype=np.intp)
 

@@ -47,3 +47,13 @@ def pairwise_auc(scores, labels):
 def rows_of(store, words):
     """Vocabulary row indices of `words`, in the given order."""
     return np.array([store.index[w] for w in words], dtype=np.intp)
+
+
+def normalized_copy(store):
+    """The float64 copy `normalize` once returned, kept as its oracle: a
+    plain store whose rows are float64(x) / norm."""
+    norms = np.linalg.norm(np.asarray(store.vectors, dtype=np.float64), axis=1)
+    return EmbeddingStore(
+        name=store.name, dimension=store.dimension, vocabulary=store.vocabulary,
+        vectors=store.vectors / norms[:, None],
+    )

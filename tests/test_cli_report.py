@@ -193,6 +193,26 @@ def test_each_embedding_is_freed_before_the_next_loads(
     assert alive == [0, 0]
 
 
+@pytest.mark.parametrize("flags, passes", [([], 2), (["--normalize"], 3)])
+def test_a_cli_load_checks_the_matrix_once_per_store(
+    workspace, tmp_path, monkeypatch, flags, passes
+):
+    """The loader and the store's constructor each check the matrix for
+    non-finite values; `normalize` builds one more store."""
+    from conceptlearn import embeddings
+
+    calls = []
+
+    def spy(mat, _fn=embeddings._first_nonfinite_row):
+        calls.append(mat.shape)
+        return _fn(mat)
+
+    monkeypatch.setattr(embeddings, "_first_nonfinite_row", spy)
+    _, manifest = workspace
+    assert main(["null", str(manifest)] + quick_args(tmp_path / "o") + flags) == 0
+    assert calls == [(120, 6)] * passes
+
+
 def test_eval_jsonl_names_the_reported_embedding():
     vocab = [f"w{i:03d}" for i in range(60)]
     store = random_gaussian_embedding(vocab, 4, seed=1, name="y")
@@ -319,18 +339,46 @@ def test_non_utf8_word_lists_are_input_errors(workspace, tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {bad}:3: not valid UTF-8\n"
 
 
-def test_runtime_error_exit_code(workspace, tmp_path):
+def test_runtime_error_exit_code(workspace, tmp_path, monkeypatch, capsys):
+    from conceptlearn import experiment
+
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("non-finite training loss at epoch 1")
+
+    # a fit that fails mid-run
+    monkeypatch.setattr(experiment, "train", diverge)
+    monkeypatch.setattr(experiment, "train_many", diverge)
     _, manifest = workspace
-    # concept larger than half the vocabulary -> split failure mid-run
-    ws = manifest.parent
+    assert main(["eval", str(manifest)] + quick_args(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(
+        "runtime error: iteration 0 of concept 'alpha' failed: non-finite"
+    )
+
+
+@pytest.mark.parametrize("command, flags, size", [
+    ("eval", [], 80),  # a concept of 80 words
+    ("null", ["--random-list-size", "60"], 60),
+])
+def test_list_too_large_for_the_vocabulary_fails_before_any_fit(
+    workspace, tmp_path, monkeypatch, capsys, command, flags, size
+):
+    from conceptlearn import experiment
+
+    ws, manifest = workspace
     big = ws / "big.txt"
-    store_words = [f"w{i:03d}" for i in range(120)]
-    big.write_text("\n".join(store_words[:80]) + "\n")
+    big.write_text("\n".join(f"w{i:03d}" for i in range(80)) + "\n")
     m = ws / "big.ini"
-    emb_path = load_manifest(str(manifest)).embeddings[0][1].path
-    m.write_text(f"[embeddings]\ng = {emb_path}\n[concepts]\nbig = {big}\n")
-    rc = main(["eval", str(m)] + quick_args(tmp_path / "o"))
-    assert rc == 2
+    m.write_text(manifest.read_text() + f"big = {big}\n")
+    fits = []
+    for attr in ("train", "train_many"):
+        monkeypatch.setattr(experiment, attr, lambda *a, _n=attr: fits.append(_n))
+    argv = [command, str(m)] + quick_args(tmp_path / "o") + flags
+    assert main(argv) == 1
+    assert fits == []
+    assert capsys.readouterr().err == (
+        "error: vocabulary of 120 too small for disjoint negatives on a "
+        f"concept of {size} words\n"
+    )
 
 
 def test_non_finite_vector_is_input_error(workspace, tmp_path, capsys):
@@ -499,7 +547,14 @@ def test_manifest_names_keep_case(workspace, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--iterations", "0"), ("--random-list-size", "3")]
+    "flag, value",
+    [
+        ("--iterations", "0"),
+        ("--random-list-size", "3"),
+        ("--random-list-size", "60"),  # V/2: too large for disjoint negatives
+        ("--threshold", "nan"),
+        ("--threshold", "1.5"),
+    ],
 )
 def test_invalid_experiment_flag_is_input_error(workspace, tmp_path, capsys, flag, value):
     _, manifest = workspace

@@ -52,8 +52,9 @@ def test_load_concept_empty_errors(tmp_path):
 
 def test_load_concept_rejects_wildcards(tmp_path):
     path = write_list(tmp_path, "happ*\n")
-    with pytest.raises(ConceptError, match="expand-wildcards"):
+    with pytest.raises(ConceptError, match="`conceptlearn expand-wildcards`") as err:
         load_concept(path, "c")
+    assert "--expand-wildcards" not in str(err.value)
 
 
 def test_expand_wildcards():

@@ -14,7 +14,7 @@ from conceptlearn import (
     random_gaussian_embedding,
     save_embedding,
 )
-from conceptlearn.embeddings import normalized_view
+from conftest import normalized_copy
 
 
 def test_load_plain_file(tiny_store):
@@ -127,11 +127,19 @@ def test_save_embedding_bytes_match_per_value_format(tmp_path):
     text.write_text(_reference_text(f64).replace("1e+300", "1e+30"))
     f32 = load_embedding(EmbeddingSourceSpec(path=str(text)))
     assert f32.vectors.dtype == np.float32
-    for store in (f64, f32):
+    # a normalized store writes its unit rows; 1e300 squared overflows the
+    # norm, so the float64 one leaves out row 0
+    f64_rest = EmbeddingStore(
+        name="f64-rest", dimension=6, vocabulary=f64.vocabulary[1:], vectors=mat[1:]
+    )
+    for store, raw in ((f64, f64_rest), (f32, f32)):
         for header in (False, True):
             out = tmp_path / f"{store.name}-{header}.txt"
             save_embedding(store, str(out), header=header)
             assert out.read_text(encoding="utf-8") == _reference_text(store, header)
+            save_embedding(normalize(raw), str(out), header=header)
+            expected = _reference_text(normalized_copy(raw), header)
+            assert out.read_text(encoding="utf-8") == expected
 
 
 def test_lookup_oov_returns_none(tiny_store):
@@ -154,16 +162,26 @@ def test_normalize_idempotent(gaussian_store):
     once = normalize(gaussian_store)
     twice = normalize(once)
     assert twice is once
-    norms = np.linalg.norm(once.vectors, axis=1)
+    norms = np.linalg.norm(once.gather(np.arange(len(once))), axis=1)
     assert np.all(np.abs(norms - 1.0) <= 1e-9)
 
 
 def test_normalize_rejects_zero_vector():
+    for dtype in (np.float64, np.float32):
+        store = EmbeddingStore(
+            name="z", dimension=2, vocabulary=("ok", "zero"),
+            vectors=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=dtype),
+        )
+        with pytest.raises(ValueError, match="^zero vector for word 'zero'$"):
+            normalize(store)
+
+
+def test_normalize_rejects_a_norm_that_overflows():
     store = EmbeddingStore(
-        name="z", dimension=2, vocabulary=("ok", "zero"),
-        vectors=np.array([[1.0, 1.0], [0.0, 0.0]]),
+        name="o", dimension=2, vocabulary=("ok", "huge"),
+        vectors=np.array([[1.0, 1.0], [1e300, 1e300]]),
     )
-    with pytest.raises(ValueError, match="zero vector for word 'zero'"):
+    with pytest.raises(ValueError, match="^vector norm overflows float64 for word 'huge'$"):
         normalize(store)
 
 
@@ -173,30 +191,21 @@ def test_normalized_lookup_composes(small_store):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_normalized_view_reads_the_rows_of_normalize(dtype):
+def test_normalize_reads_the_rows_of_the_normalized_copy(dtype):
     rng = np.random.default_rng(5)
     vectors = (rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-3, 4, (300, 1)))
     store = EmbeddingStore(
         name="v", dimension=7, vocabulary=tuple(f"w{i}" for i in range(300)),
         vectors=vectors.astype(dtype),
     )
-    copy, view = normalize(store), normalized_view(store)
-    assert view.normalized and view.vectors is store.vectors
-    assert view.index is store.index and normalized_view(view) is view
+    copy, normed = normalized_copy(store), normalize(store)
+    assert normed.normalized and normed.vectors is store.vectors
+    assert normed.index is store.index and normalize(normed) is normed
     rows = rng.integers(0, 300, size=(4, 9))
-    assert view.gather(rows).tobytes() == copy.gather(rows).tobytes()
-    assert view.gather(rows).tobytes() == copy.vectors[rows].tobytes()
-    assert view.lookup("w17").tobytes() == copy.lookup("w17").tobytes()
+    assert normed.gather(rows).tobytes() == copy.vectors[rows].tobytes()
+    assert normed.gather(slice(40, 90)).tobytes() == copy.vectors[40:90].tobytes()
+    assert normed.lookup("w17").tobytes() == copy.lookup("w17").tobytes()
     assert store.gather(rows).dtype == np.float64
-
-
-def test_normalized_view_rejects_zero_vector_like_normalize():
-    store = EmbeddingStore(
-        name="z", dimension=2, vocabulary=("ok", "zero"),
-        vectors=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.float32),
-    )
-    with pytest.raises(ValueError, match="^zero vector for word 'zero'$"):
-        normalized_view(store)
 
 
 def test_row_passes_do_not_depend_on_the_chunk(monkeypatch):
@@ -255,11 +264,6 @@ def test_store_invariant_checks():
         EmbeddingStore(
             name="f", dimension=1, vocabulary=("a",),
             vectors=np.array([[np.nan]]),
-        )
-    with pytest.raises(ValueError, match="not unit length"):
-        EmbeddingStore(
-            name="u", dimension=2, vocabulary=("a",),
-            vectors=np.array([[3.0, 4.0]]), normalized=True,
         )
 
 

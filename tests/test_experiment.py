@@ -9,13 +9,13 @@ from conceptlearn import (
     TrainConfig,
     empirical_p_value,
     format_p_value,
-    normalize,
     random_concept,
     random_gaussian_embedding,
     run_concept,
     run_iteration,
     run_null,
 )
+from conftest import normalized_copy
 
 
 def quick_cfg(**kw):
@@ -120,7 +120,7 @@ def test_normalize_on_gather_matches_the_normalized_copy(dtype, dim, size):
     )
     cfg = quick_cfg(normalize=True, random_list_size=size)
     rc = random_concept(store, size, seed=3, name="c")
-    copy = normalize(store)
+    copy = normalized_copy(store)
     for workers in (1, 2):
         assert run_concept(store, rc, cfg, workers).records == run_concept(
             copy, rc, cfg, workers
