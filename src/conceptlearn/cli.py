@@ -29,12 +29,7 @@ from .embeddings import (
     random_gaussian_embedding,
     save_embedding,
 )
-from .experiment import (
-    ExperimentConfig,
-    default_workers,
-    run_concept,
-    run_null,
-)
+from .experiment import ExperimentConfig, default_workers, run_embedding
 from .perceptron import TrainConfig
 from .stats import wilcoxon_signed_rank
 
@@ -99,9 +94,14 @@ def validate_manifest(manifest: RunManifest) -> None:
         raise InputError("; ".join(problems))
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _command_inputs(args) -> tuple[RunManifest, ExperimentConfig]:
+    """The checked manifest and config of `eval`, `null` and `compare`."""
+    manifest = load_manifest(args.manifest)
+    validate_manifest(manifest)
+    if args.workers < 1:
+        raise InputError("--workers must be >= 1")
     try:
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             iterations=args.iterations,
             random_list_count=args.random_lists,
             random_list_size=args.random_list_size,
@@ -112,20 +112,20 @@ def _experiment_config(args) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    return manifest, cfg
 
 
-def _load_named_embedding(manifest: RunManifest, name: str, cfg):
-    """Load a manifest embedding. When cfg says to normalize, its row norms
-    are computed once here, so `run_concept` and `run_null` do not each
-    redo them; the matrix itself is not copied."""
+def _run_embedding(manifest: RunManifest, name: str, cfg, workers: int,
+                   concepts: bool = True, null: bool = True):
+    """Load a manifest embedding and run its concepts and null, as asked, as
+    one task list. The matrix is freed on return, before the next loads."""
     store = load_embedding(manifest.embedding(name))
-    return normalize(store) if cfg.normalize else store
-
-
-def _evaluate_embedding(manifest: RunManifest, store, cfg, workers: int):
-    """Run every manifest concept on one loaded embedding."""
-    resolved = [resolve(load_concept(path, c), store) for c, path in manifest.concepts]
-    return [run_concept(store, rc, cfg, workers=workers) for rc in resolved]
+    if null:
+        check_vocabulary_size(cfg.random_list_size, len(store))  # before any fit
+    resolved = [
+        resolve(load_concept(path, c), store) for c, path in manifest.concepts
+    ] if concepts else []
+    return run_embedding(store, cfg, resolved, null=null, workers=workers)
 
 
 def _write(outdir: str, filename: str, text: str) -> None:
@@ -135,9 +135,7 @@ def _write(outdir: str, filename: str, text: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
-    cfg = _experiment_config(args)
+    manifest, cfg = _command_inputs(args)
     formats = args.format.split(",")
     for fmt in formats:
         if fmt not in EVAL_FORMATS:
@@ -145,11 +143,7 @@ def cmd_eval(args) -> int:
                 f"unknown format {fmt!r} (choose from {','.join(EVAL_FORMATS)})"
             )
     for name, _ in manifest.embeddings:
-        store = _load_named_embedding(manifest, name, cfg)
-        check_vocabulary_size(cfg.random_list_size, len(store))  # before any fit
-        aggregates = _evaluate_embedding(manifest, store, cfg, args.workers)
-        null = run_null(store, cfg, workers=args.workers)
-        del store  # free this matrix before the next embedding loads
+        aggregates, null = _run_embedding(manifest, name, cfg, args.workers)
         for fmt, render in EVAL_FORMATS.items():
             if fmt in formats:
                 _write(args.out, f"{name}-eval.{fmt}", render(name, aggregates, null, cfg))
@@ -157,30 +151,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_null(args) -> int:
-    manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
-    cfg = _experiment_config(args)
-    names = [n for n, _ in manifest.embeddings]
-    name = args.embedding or names[0]
-    store = _load_named_embedding(manifest, name, cfg)
-    check_vocabulary_size(cfg.random_list_size, len(store))
-    null = run_null(store, cfg, workers=args.workers)
+    manifest, cfg = _command_inputs(args)
+    name = args.embedding or manifest.embeddings[0][0]
+    _, null = _run_embedding(manifest, name, cfg, args.workers, concepts=False)
     _write(args.out, f"{name}-null.txt", report.null_report_text(name, null, cfg))
     _write(args.out, f"{name}-null.jsonl", report.null_report_jsonl(name, null, cfg))
     return 0
 
 
 def cmd_compare(args) -> int:
-    manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
-    cfg = _experiment_config(args)
+    manifest, cfg = _command_inputs(args)
     aucs = {}
     for name in (args.embedding_a, args.embedding_b):
-        # only the aggregates are kept, so the first matrix is freed before
-        # the second loads
-        store = _load_named_embedding(manifest, name, cfg)
-        aggregates = _evaluate_embedding(manifest, store, cfg, args.workers)
-        del store
+        aggregates, _ = _run_embedding(manifest, name, cfg, args.workers, null=False)
         aucs[name] = {agg.concept_name: agg.means["auc"] for agg in aggregates}
     names = [n for n, _ in manifest.concepts]
     a = [aucs[args.embedding_a][n] for n in names]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, open_utf8, stream
+from .embeddings import EmbeddingStore, open_utf8, rows_outside, stream
 
 # halving needs >= 2 train and >= 2 test positives
 MIN_RESOLVED_SIZE = 4
@@ -149,15 +149,14 @@ def random_concept(
 ) -> ResolvedConcept:
     """Uniform sample of `size` words (without replacement) from V minus
     `exclude`, packaged as an already-resolved concept."""
-    pool = np.delete(
-        np.arange(len(store)), [store.index[w] for w in exclude if w in store.index]
+    taken = np.sort(
+        np.array([store.index[w] for w in exclude if w in store.index], dtype=np.intp)
     )
-    if size > len(pool):
-        raise ConceptError(
-            f"cannot sample {size} words from {len(pool)} available"
-        )
-    picked = stream(seed, name).choice(len(pool), size=size, replace=False)
-    words = tuple(sorted(store.vocabulary[i] for i in pool[picked]))
+    available = len(store) - len(taken)
+    if size > available:
+        raise ConceptError(f"cannot sample {size} words from {available} available")
+    picked = stream(seed, name).choice(available, size=size, replace=False)
+    words = tuple(sorted(store.vocabulary[i] for i in rows_outside(taken, picked)))
     concept = Concept(name=name, words=frozenset(words), source="random sample")
     return ResolvedConcept(
         concept=concept, embedding_name=store.name, in_vocab=words, dropped=()

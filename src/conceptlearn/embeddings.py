@@ -3,10 +3,11 @@ synthetic Gaussian embeddings."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +22,14 @@ class EmbeddingParseError(ValueError):
     """Raised when a vector file cannot be parsed."""
 
 
+class _NonFiniteRow(ValueError):
+    """A store's matrix holds a nan or inf; `row` is the first such row."""
+
+    def __init__(self, row: int):
+        super().__init__("non-finite vector entries")
+        self.row = row
+
+
 def name_key(name: str) -> int:
     """Stable 64-bit key for a name, independent of PYTHONHASHSEED."""
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
@@ -33,6 +42,14 @@ def stream(seed: int, *names: str, spawn_key=()) -> np.random.Generator:
     entropy = [seed & (2**64 - 1), *map(name_key, names)]
     ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def rows_outside(taken: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The rows `np.delete(np.arange(V), taken)[draws]`, for sorted distinct
+    `taken`, without building that V-length pool: pool row j is j plus the
+    number of taken rows below it, which are those with at most j pool rows
+    below them (taken[i] - i <= j)."""
+    return draws + np.searchsorted(taken - np.arange(len(taken)), draws, "right")
 
 
 @dataclass(frozen=True)
@@ -76,8 +93,9 @@ class EmbeddingStore:
     def __post_init__(self):
         if self.vectors.shape != (len(self.vocabulary), self.dimension):
             raise ValueError("vector matrix shape does not match vocabulary/dimension")
-        if _first_nonfinite_row(self.vectors) is not None:
-            raise ValueError("non-finite vector entries")
+        bad = _first_nonfinite_row(self.vectors)
+        if bad is not None:
+            raise _NonFiniteRow(bad)
         if self.index is None:
             idx = {w: i for i, w in enumerate(self.vocabulary)}
             if len(idx) != len(self.vocabulary):
@@ -216,22 +234,23 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
     if not words:
         raise EmbeddingParseError(f"{spec.path}: no vector records found")
     mat.resize((len(words), dim), refcheck=False)
-    # checked once after the cast, so values that overflow the storage dtype
-    # (1e39 as float32) are caught with nan, inf and 1e999
-    bad = _first_nonfinite_row(mat)
-    if bad is not None:
-        raise EmbeddingParseError(
-            f"{spec.path}:{np.concatenate(kept_linenos)[bad]}: "
-            "non-finite vector component"
+    try:
+        return EmbeddingStore(
+            name=spec.path,
+            dimension=dim,
+            vocabulary=tuple(words),
+            vectors=mat,
+            skipped_duplicates=skipped,
+            index=seen,
         )
-    return EmbeddingStore(
-        name=spec.path,
-        dimension=dim,
-        vocabulary=tuple(words),
-        vectors=mat,
-        skipped_duplicates=skipped,
-        index=seen,
-    )
+    except _NonFiniteRow as exc:
+        # the store checks its matrix once, after the cast, so values that
+        # overflow the storage dtype (1e39 as float32) are caught with nan,
+        # inf and 1e999
+        raise EmbeddingParseError(
+            f"{spec.path}:{np.concatenate(kept_linenos)[exc.row]}: "
+            "non-finite vector component"
+        ) from None
 
 
 def _rows_estimate(spec, size: int, records: int, chars: int, at_least: int) -> int:
@@ -354,7 +373,9 @@ def normalize(store: EmbeddingStore) -> EmbeddingStore:
         raise ValueError(
             f"vector norm overflows float64 for word {store.vocabulary[huge[0]]!r}"
         )
-    return replace(store, norms=norms)
+    normed = copy.copy(store)  # the same checked matrix: no second check
+    object.__setattr__(normed, "norms", norms)
+    return normed
 
 
 def _row_chunks(mat: np.ndarray):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -84,6 +85,8 @@ def _run_stacked(
     are replayed through `run_iteration` in order, so the error raised is
     the serial one too.
     """
+    if len(indices) == 1:
+        return [run_iteration(store, resolved, cfg, indices[0])]
     splits = [make_split(resolved, store, i, cfg.master_seed) for i in indices]
     try:
         models = train_many(splits, store, cfg.train)
@@ -109,45 +112,83 @@ def _iteration_error(resolved: ResolvedConcept, index: int, exc) -> RuntimeError
     )
 
 
-# Worker-pool plumbing. Contexts live in module globals inherited through
-# fork(), so the embedding matrix is never pickled per task. Iteration and
-# null-list maps use separate slots because run_null's workers call
-# run_concept serially inside themselves.
-_CONTEXTS: dict[str, object] = {}
+# A pool worker's (store, concepts, cfg, exclude), appended by the pool's
+# initializer. The pool forks, so the store reaches it as shared pages.
+_WORK: list = []
 
 
-def _iterations_task(indices: range) -> list[MetricsRecord]:
-    store, resolved, cfg = _CONTEXTS["iter"]
-    if len(indices) == 1:
-        return [run_iteration(store, resolved, cfg, indices[0])]
-    return _run_stacked(store, resolved, cfg, indices)
-
-
-def _null_task(k: int) -> dict[str, float]:
-    store, cfg, exclude = _CONTEXTS["null"]
-    rc = random_concept(
-        store, cfg.random_list_size, exclude=exclude, seed=cfg.master_seed,
-        name=f"random-{k:04d}",
-    )
-    return run_concept(store, rc, cfg, workers=1).means
-
-
-def _map_tasks(task_fn, slot: str, ctx, indices, workers: int):
-    _CONTEXTS[slot] = ctx
-    try:
-        if workers <= 1 or "fork" not in mp.get_all_start_methods():
-            return [task_fn(i) for i in indices]
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp.get_context("fork")
-        ) as pool:
-            chunk = max(1, len(indices) // (4 * workers))
-            return list(pool.map(task_fn, indices, chunksize=chunk))
-    finally:
-        _CONTEXTS.pop(slot, None)
+def _run_task(task: tuple, work=None):
+    """("iter", c, iterations) -> those iterations' records of concept c;
+    ("null", k) -> the metric means of random list k. Fits are trained in
+    stacks of `stack_size`; the records do not depend on the cut."""
+    store, concepts, cfg, exclude = work or _WORK[0]
+    if task[0] == "iter":
+        rc, indices = concepts[task[1]], task[2]
+    else:
+        rc = random_concept(
+            store, cfg.random_list_size, exclude=exclude, seed=cfg.master_seed,
+            name=f"random-{task[1]:04d}",
+        )
+        indices = range(cfg.iterations)
+    k = stack_size(2 * train_positives(rc.size), store.dimension)
+    records = [
+        r for i in range(0, len(indices), k)
+        for r in _run_stacked(store, rc, cfg, indices[i : i + k])
+    ]
+    return records if task[0] == "iter" else _aggregate(rc, records).means
 
 
 def default_workers() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so taskset and cpusets are respected), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
+                  null: bool = False, exclude=frozenset(), workers: int = 1):
+    """Run `concepts` (ResolvedConcepts) and, with `null`, the null on one
+    store as one list of keyed tasks, ("iter", c, iterations) and ("null",
+    k), on one fork pool of at most one worker per task, or in order on one
+    worker. Returns the AggregateResults and NullDistribution (None without
+    `null`), keyed by task and read in task order: neither the order nor the
+    cut of the tasks changes a number or an error."""
+    if cfg.normalize:
+        store = normalize(store)
+    work = (store, concepts, cfg, frozenset(exclude))
+    n, share = cfg.iterations, math.ceil(cfg.iterations / max(1, workers))
+    cuts = [range(i, min(i + share, n)) for i in range(0, n, share)]
+    tasks = [("iter", c, cut) for c in range(len(concepts)) for cut in cuts]
+    tasks += [("null", k) for k in range(cfg.random_list_count if null else 0)]
+    workers = min(workers, len(tasks))
+    if workers > 1 and "fork" not in mp.get_all_start_methods():
+        warnings.warn("cannot fork worker processes here; running on 1 worker",
+                      RuntimeWarning)
+        workers = 1
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=mp.get_context("fork"),
+            initializer=_WORK.append, initargs=(work,),
+        ) as pool:
+            chunk = max(1, len(tasks) // (4 * workers))
+            outputs = list(pool.map(_run_task, tasks, chunksize=chunk))
+    else:
+        outputs = [_run_task(task, work) for task in tasks]
+    done = dict(zip(tasks, outputs))
+    aggregates = [
+        _aggregate(rc, [r for cut in cuts for r in done["iter", c, cut]])
+        for c, rc in enumerate(concepts)
+    ]
+    if not null:
+        return aggregates, None
+    per_list = [done["null", k] for k in range(cfg.random_list_count)]
+    max_row = {k: max(m[k] for m in per_list) for k in METRIC_NAMES}
+    mean_row = {k: float(np.mean([m[k] for m in per_list])) for k in METRIC_NAMES}
+    return aggregates, NullDistribution(
+        per_list=tuple(per_list), max_row=max_row, mean_row=mean_row,
+        list_size=cfg.random_list_size,
+    )
 
 
 def run_concept(
@@ -157,20 +198,8 @@ def run_concept(
     workers: int = 1,
 ) -> AggregateResult:
     """Evaluate one concept: cfg.iterations independent split/train/test
-    passes, aggregated to per-metric mean and sample standard deviation.
-
-    Small concepts train their iterations in stacks of `stack_size`, cut so
-    every worker gets one; the records do not depend on the cut."""
-    if cfg.normalize:
-        store = normalize(store)
-    n = cfg.iterations
-    train_rows = 2 * train_positives(resolved.size)
-    k = min(stack_size(train_rows, store.dimension), math.ceil(n / max(1, workers)))
-    chunks = [range(i, min(i + k, n)) for i in range(0, n, k)]
-    per_chunk = _map_tasks(
-        _iterations_task, "iter", (store, resolved, cfg), chunks, workers
-    )
-    return _aggregate(resolved, [r for records in per_chunk for r in records])
+    passes, aggregated to per-metric mean and sample standard deviation."""
+    return run_embedding(store, cfg, [resolved], workers=workers)[0][0]
 
 
 def _aggregate(resolved: ResolvedConcept, records) -> AggregateResult:
@@ -203,20 +232,7 @@ def run_null(
     The max row is a per-metric maximum across lists; the mean row is the
     per-metric average.
     """
-    if cfg.normalize:
-        store = normalize(store)  # once here; idempotent in run_concept
-    ctx = (store, cfg, frozenset(exclude))
-    per_list = _map_tasks(
-        _null_task, "null", ctx, range(cfg.random_list_count), workers
-    )
-    max_row = {n: max(m[n] for m in per_list) for n in METRIC_NAMES}
-    mean_row = {
-        n: float(np.mean([m[n] for m in per_list])) for n in METRIC_NAMES
-    }
-    return NullDistribution(
-        per_list=tuple(per_list), max_row=max_row, mean_row=mean_row,
-        list_size=cfg.random_list_size,
-    )
+    return run_embedding(store, cfg, null=True, exclude=exclude, workers=workers)[1]
 
 
 def empirical_p_value(observed: float, null_values) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concepts import MIN_RESOLVED_SIZE, ResolvedConcept, check_vocabulary_size
-from .embeddings import EmbeddingStore, stream
+from .embeddings import EmbeddingStore, rows_outside, stream
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +85,7 @@ def make_split(
 
     n_train = train_positives(n)
     pos = rows[rng.permutation(n)]
-    pool = np.delete(np.arange(len(store)), rows)
-    neg = pool[rng.choice(len(pool), size=n, replace=False)]
+    neg = rows_outside(np.sort(rows), rng.choice(len(store) - n, size=n, replace=False))
 
     return EvaluationSplit(
         train_pos=pos[:n_train],

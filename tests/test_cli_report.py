@@ -193,12 +193,12 @@ def test_each_embedding_is_freed_before_the_next_loads(
     assert alive == [0, 0]
 
 
-@pytest.mark.parametrize("flags, passes", [([], 2), (["--normalize"], 3)])
+@pytest.mark.parametrize("flags, passes", [([], 1), (["--normalize"], 1)])
 def test_a_cli_load_checks_the_matrix_once_per_store(
     workspace, tmp_path, monkeypatch, flags, passes
 ):
-    """The loader and the store's constructor each check the matrix for
-    non-finite values; `normalize` builds one more store."""
+    """The store's constructor checks the loaded matrix for non-finite
+    values, and `normalize` reuses the checked matrix."""
     from conceptlearn import embeddings
 
     calls = []
@@ -211,6 +211,76 @@ def test_a_cli_load_checks_the_matrix_once_per_store(
     _, manifest = workspace
     assert main(["null", str(manifest)] + quick_args(tmp_path / "o") + flags) == 0
     assert calls == [(120, 6)] * passes
+
+
+@pytest.fixture
+def two_embeddings(workspace):
+    """The workspace manifest plus a second embedding, `other`, of the same
+    words."""
+    ws, manifest = workspace
+    store = random_gaussian_embedding([f"w{i:03d}" for i in range(120)], 5, seed=2)
+    (ws / "other.txt").write_text("".join(
+        w + " " + " ".join(f"{v:.9g}" for v in row) + "\n"
+        for w, row in zip(store.vocabulary, store.vectors)
+    ))
+    two = ws / "two-embeddings.ini"
+    two.write_text(manifest.read_text().replace(
+        "[concepts]", f"other = {ws / 'other.txt'}\n\n[concepts]"
+    ))
+    return two
+
+
+@pytest.mark.parametrize("command, loads", [("eval", 2), ("null", 1), ("compare", 2)])
+def test_one_pool_per_loaded_embedding_and_the_same_reports_at_any_worker_count(
+    two_embeddings, tmp_path, monkeypatch, command, loads
+):
+    """Concepts and null lists of an embedding share one worker pool, and
+    the reports do not depend on the worker count."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from conceptlearn import experiment
+
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    names = ["gauss", "other"] if command == "compare" else []
+    reports = {}
+    for workers in (1, 2, 3):
+        pools.clear()
+        out = tmp_path / f"w{workers}"
+        argv = [command, str(two_embeddings), *names] + quick_args(out)
+        assert main(argv + ["--workers", str(workers)]) == 0
+        assert pools == ([] if workers == 1 else [workers] * loads)
+        reports[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert reports[1] and reports[2] == reports[1] and reports[3] == reports[1]
+
+
+def test_without_fork_a_multi_worker_run_is_serial_and_says_so_once(
+    two_embeddings, tmp_path, monkeypatch
+):
+    import multiprocessing
+    import warnings
+
+    from conceptlearn import experiment
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", None)  # never started
+    serial, forked = tmp_path / "serial", tmp_path / "forked"
+    assert main(["eval", str(two_embeddings)] + quick_args(serial)) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        argv = ["eval", str(two_embeddings)] + quick_args(forked) + ["--workers", "2"]
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught] == [
+        "cannot fork worker processes here; running on 1 worker"
+    ]
+    for report in serial.iterdir():
+        assert (forked / report.name).read_bytes() == report.read_bytes()
 
 
 def test_eval_jsonl_names_the_reported_embedding():
@@ -554,6 +624,8 @@ def test_manifest_names_keep_case(workspace, tmp_path):
         ("--random-list-size", "60"),  # V/2: too large for disjoint negatives
         ("--threshold", "nan"),
         ("--threshold", "1.5"),
+        ("--workers", "0"),
+        ("--workers", "-2"),
     ],
 )
 def test_invalid_experiment_flag_is_input_error(workspace, tmp_path, capsys, flag, value):

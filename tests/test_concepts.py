@@ -138,10 +138,14 @@ def test_random_concept_matches_word_pool_reference():
     vocab = [f"w{i:03d}" for i in range(150)]
     order = np.random.default_rng(4).permutation(len(vocab))
     store = random_gaussian_embedding([vocab[i] for i in order], 3, seed=1)
+    rows = store.vocabulary  # in row order
     excludes = (
         frozenset(),
         frozenset(vocab[::3]) | {"oov-x", "oov-y"},
         frozenset({"oov-only"}),
+        frozenset(rows[:10]),  # a run from row 0
+        frozenset(rows[-7:]),  # a run to row V - 1
+        frozenset(rows[:3] + rows[40:90] + rows[-1:]),  # both ends and a run
     )
     for exclude in excludes:
         for size in (4, 7, 10, 31):

@@ -227,3 +227,51 @@ def test_config_validation():
         ExperimentConfig(random_list_size=3)
     with pytest.raises(ValueError):
         ExperimentConfig(random_list_count=0)
+
+
+def test_default_workers_counts_the_cpus_this_process_may_use(monkeypatch):
+    import os
+
+    from conceptlearn.experiment import default_workers
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert default_workers() == 3  # taskset / cpuset mask, not the host's 64
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 1
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size and runs the
+    tasks in this process, through the same initializer."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_the_pool_is_no_larger_than_its_task_list(gaussian_store, monkeypatch):
+    from conceptlearn import experiment
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiment, "_WORK", [])  # what the initializer fills
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    for lists in (1, 3):
+        cfg = quick_cfg(random_list_count=lists)
+        serial = run_null(gaussian_store, cfg, workers=1)
+        assert run_null(gaussian_store, cfg, workers=8).per_list == serial.per_list
+    # one list runs in this process; three lists fork three workers, not 8
+    assert InlinePool.sizes == [3]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from conceptlearn import (
     Concept,
+    EmbeddingStore,
     make_split,
     random_concept,
     random_gaussian_embedding,
@@ -168,3 +170,56 @@ def test_rows_match_word_pool_reference():
             for f in ROW_FIELDS:
                 got = tuple(store.vocabulary[i] for i in getattr(split, f))
                 assert got == ref[f]
+
+
+def reference_delete_split(resolved, store, iteration_index, master_seed):
+    """The split `make_split` made through the V-length `np.delete` pool,
+    kept as its oracle."""
+    rng = split_rng(master_seed, resolved.concept.name, iteration_index)
+    rows = rows_of(store, resolved.in_vocab)
+    n, n_train = len(rows), math.ceil(len(rows) / 2)
+    pos = rows[rng.permutation(n)]
+    pool = np.delete(np.arange(len(store)), rows)
+    neg = pool[rng.choice(len(pool), size=n, replace=False)]
+    return pos[:n_train], neg[:n_train], pos[n_train:], neg[n_train:]
+
+
+@pytest.mark.parametrize("V", [12, 40, 1001])
+@pytest.mark.parametrize("layout", ["first", "last", "both-ends", "run", "runs", "spread"])
+def test_split_rows_match_the_delete_pool_reference(V, layout):
+    n = {12: 4, 40: 9, 1001: 60}[V]
+    rows = {
+        "first": range(n),  # rows 0 .. n-1
+        "last": range(V - n, V),  # ends at V - 1
+        "both-ends": [*range(n // 2), *range(V - (n - n // 2), V)],
+        "run": range(V // 3, V // 3 + n),
+        "runs": [*range(1, 1 + n // 2), *range(V // 2, V // 2 + n - n // 2)],
+        "spread": np.random.default_rng(V).choice(V, n, replace=False),
+    }[layout]
+    store = random_gaussian_embedding([f"w{i:04d}" for i in range(V)], 1, seed=V)
+    words = frozenset(store.vocabulary[i] for i in rows)
+    rc = resolve(Concept(name=f"{layout}-{V}", words=words), store)
+    for seed in (0, 7, -3):
+        for it in range(4):
+            split = make_split(rc, store, it, seed)
+            ref = reference_delete_split(rc, store, it, seed)
+            for field, want in zip(ROW_FIELDS, ref):
+                got = getattr(split, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_a_split_allocates_no_vocabulary_sized_array():
+    V = 200_000
+    store = EmbeddingStore(
+        name="tall", dimension=1, vocabulary=tuple(f"w{i}" for i in range(V)),
+        vectors=np.ones((V, 1), dtype=np.float32),
+    )
+    rc = concept_of(store, 400)
+    make_split(rc, store, 0, 1)  # warm up
+    tracemalloc.start()
+    try:
+        make_split(rc, store, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < V * 8  # the np.delete pool alone was V * 8 bytes
