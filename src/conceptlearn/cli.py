@@ -116,15 +116,14 @@ def _command_inputs(args) -> tuple[RunManifest, ExperimentConfig]:
 
 
 def _run_embedding(manifest: RunManifest, name: str, cfg, workers: int,
-                   concepts: bool = True, null: bool = True):
-    """Load a manifest embedding and run its concepts and null, as asked, as
-    one task list. The matrix is freed on return, before the next loads."""
+                   concepts=(), null: bool = True):
+    """Load a manifest embedding and run `concepts` (read once per command,
+    before the first load) and the null, as asked, as one task list. The
+    matrix is freed on return, before the next loads."""
     store = load_embedding(manifest.embedding(name))
     if null:
         check_vocabulary_size(cfg.random_list_size, len(store))  # before any fit
-    resolved = [
-        resolve(load_concept(path, c), store) for c, path in manifest.concepts
-    ] if concepts else []
+    resolved = [resolve(c, store) for c in concepts]
     return run_embedding(store, cfg, resolved, null=null, workers=workers)
 
 
@@ -142,8 +141,9 @@ def cmd_eval(args) -> int:
             raise InputError(
                 f"unknown format {fmt!r} (choose from {','.join(EVAL_FORMATS)})"
             )
+    concepts = [load_concept(path, c) for c, path in manifest.concepts]
     for name, _ in manifest.embeddings:
-        aggregates, null = _run_embedding(manifest, name, cfg, args.workers)
+        aggregates, null = _run_embedding(manifest, name, cfg, args.workers, concepts)
         for fmt, render in EVAL_FORMATS.items():
             if fmt in formats:
                 _write(args.out, f"{name}-eval.{fmt}", render(name, aggregates, null, cfg))
@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
 def cmd_null(args) -> int:
     manifest, cfg = _command_inputs(args)
     name = args.embedding or manifest.embeddings[0][0]
-    _, null = _run_embedding(manifest, name, cfg, args.workers, concepts=False)
+    _, null = _run_embedding(manifest, name, cfg, args.workers)
     _write(args.out, f"{name}-null.txt", report.null_report_text(name, null, cfg))
     _write(args.out, f"{name}-null.jsonl", report.null_report_jsonl(name, null, cfg))
     return 0
@@ -161,9 +161,12 @@ def cmd_null(args) -> int:
 
 def cmd_compare(args) -> int:
     manifest, cfg = _command_inputs(args)
+    concepts = [load_concept(path, c) for c, path in manifest.concepts]
     aucs = {}
     for name in (args.embedding_a, args.embedding_b):
-        aggregates, _ = _run_embedding(manifest, name, cfg, args.workers, null=False)
+        aggregates, _ = _run_embedding(
+            manifest, name, cfg, args.workers, concepts, null=False
+        )
         aucs[name] = {agg.concept_name: agg.means["auc"] for agg in aggregates}
     names = [n for n, _ in manifest.concepts]
     a = [aucs[args.embedding_a][n] for n in names]
@@ -203,7 +206,12 @@ def _read_lines(path: str) -> list[str]:
 
 def cmd_gen_random_embedding(args) -> int:
     if args.vocab:
-        vocab = [w.strip().lower() for w in _read_lines(args.vocab) if w.strip()]
+        lines = _read_lines(args.vocab)
+        for lineno, line in enumerate(lines, start=1):
+            if len(line.split()) > 1:  # split as the vector-file loader splits
+                raise InputError(f"{args.vocab}:{lineno}: word {line.strip()!r} "
+                                 "contains whitespace")
+        vocab = [w.strip().lower() for w in lines if w.strip()]
         vocab = list(dict.fromkeys(vocab))
     else:
         width = len(str(args.words - 1))

@@ -3,6 +3,7 @@ and random lists for null distributions."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,10 @@ def expand_wildcards(entries, vocabulary) -> list[str]:
             stem = entry[:-1]
             if "*" in stem:
                 raise ConceptError(f"unsupported wildcard pattern {entry!r}")
-            out.update(w for w in vocab_sorted if w.startswith(stem))
+            i = bisect_left(vocab_sorted, stem)  # the stem's words follow it
+            while i < len(vocab_sorted) and vocab_sorted[i].startswith(stem):
+                out.add(vocab_sorted[i])
+                i += 1
         elif "*" in entry:
             raise ConceptError(f"unsupported wildcard pattern {entry!r}")
         else:

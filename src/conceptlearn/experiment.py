@@ -68,48 +68,41 @@ def run_iteration(
     store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, index: int
 ) -> MetricsRecord:
     """One split/train/score/metrics pass."""
-    split = make_split(resolved, store, index, cfg.master_seed)
-    try:
-        model = train(split, store, cfg.train)
-        return _held_out_metrics(model, split, store, cfg)
-    except Exception as exc:
-        raise _iteration_error(resolved, index, exc) from exc
+    return _run_fits(store, resolved, cfg, [index])[0]
 
 
-def _run_stacked(
+def _run_fits(
     store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, indices
 ) -> list[MetricsRecord]:
-    """`run_iteration` for each index, with the fits trained as one stack.
-
-    The records are bitwise the serial ones. If any fit fails, the indices
-    are replayed through `run_iteration` in order, so the error raised is
-    the serial one too.
-    """
-    if len(indices) == 1:
-        return [run_iteration(store, resolved, cfg, indices[0])]
-    splits = [make_split(resolved, store, i, cfg.master_seed) for i in indices]
-    try:
-        models = train_many(splits, store, cfg.train)
-    except (FloatingPointError, ValueError):
-        return [run_iteration(store, resolved, cfg, i) for i in indices]
+    """Split, train and score the fits of `indices`, in stacks of
+    `stack_size`. A stack that fails is trained again one fit at a time from
+    the same splits, so the error raised is the serial one."""
+    k = stack_size(2 * train_positives(resolved.size), store.dimension)
     records = []
-    for split, model in zip(splits, models):
-        try:
-            records.append(_held_out_metrics(model, split, store, cfg))
-        except Exception as exc:
-            raise _iteration_error(resolved, split.iteration_index, exc) from exc
+    for start in range(0, len(indices), k):
+        splits = [
+            make_split(resolved, store, i, cfg.master_seed)
+            for i in indices[start : start + k]
+        ]
+        models = None
+        if len(splits) > 1:
+            try:
+                models = train_many(splits, store, cfg.train)
+            except (FloatingPointError, ValueError):
+                pass  # retrained one at a time below
+        for j, split in enumerate(splits):
+            try:
+                model = train(split, store, cfg.train) if models is None else models[j]
+                scores = score(model, store, split.test_rows)
+                records.append(
+                    evaluate_scores(scores, split.test_labels(), cfg.threshold)
+                )
+            except Exception as exc:
+                raise RuntimeError(
+                    f"iteration {split.iteration_index} of concept "
+                    f"{resolved.concept.name!r} failed: {exc}"
+                ) from exc
     return records
-
-
-def _held_out_metrics(model, split, store, cfg: ExperimentConfig) -> MetricsRecord:
-    scores = score(model, store, split.test_rows)
-    return evaluate_scores(scores, split.test_labels(), cfg.threshold)
-
-
-def _iteration_error(resolved: ResolvedConcept, index: int, exc) -> RuntimeError:
-    return RuntimeError(
-        f"iteration {index} of concept {resolved.concept.name!r} failed: {exc}"
-    )
 
 
 # A pool worker's (store, concepts, cfg, exclude), appended by the pool's
@@ -119,23 +112,15 @@ _WORK: list = []
 
 def _run_task(task: tuple, work=None):
     """("iter", c, iterations) -> those iterations' records of concept c;
-    ("null", k) -> the metric means of random list k. Fits are trained in
-    stacks of `stack_size`; the records do not depend on the cut."""
+    ("null", k) -> the metric means of random list k."""
     store, concepts, cfg, exclude = work or _WORK[0]
     if task[0] == "iter":
-        rc, indices = concepts[task[1]], task[2]
-    else:
-        rc = random_concept(
-            store, cfg.random_list_size, exclude=exclude, seed=cfg.master_seed,
-            name=f"random-{task[1]:04d}",
-        )
-        indices = range(cfg.iterations)
-    k = stack_size(2 * train_positives(rc.size), store.dimension)
-    records = [
-        r for i in range(0, len(indices), k)
-        for r in _run_stacked(store, rc, cfg, indices[i : i + k])
-    ]
-    return records if task[0] == "iter" else _aggregate(rc, records).means
+        return _run_fits(store, concepts[task[1]], cfg, task[2])
+    rc = random_concept(
+        store, cfg.random_list_size, exclude=exclude, seed=cfg.master_seed,
+        name=f"random-{task[1]:04d}",
+    )
+    return _aggregate(rc, _run_fits(store, rc, cfg, range(cfg.iterations))).means
 
 
 def default_workers() -> int:

@@ -283,6 +283,43 @@ def test_without_fork_a_multi_worker_run_is_serial_and_says_so_once(
         assert (forked / report.name).read_bytes() == report.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_concept_files_are_read_once_per_command(
+    two_embeddings, tmp_path, monkeypatch, command
+):
+    from conceptlearn import cli
+
+    read = []
+
+    def spy(path, name, _fn=cli.load_concept):
+        read.append(path)
+        return _fn(path, name)
+
+    monkeypatch.setattr(cli, "load_concept", spy)
+    names = ["gauss", "other"] if command == "compare" else []
+    argv = [command, str(two_embeddings), *names] + quick_args(tmp_path / "o")
+    assert main(argv) == 0
+    concepts = load_manifest(str(two_embeddings)).concepts
+    assert sorted(read) == sorted(path for _, path in concepts)
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_a_wildcard_list_fails_before_any_embedding_loads(
+    two_embeddings, tmp_path, monkeypatch, capsys, command
+):
+    from conceptlearn import cli
+
+    ws = two_embeddings.parent
+    (ws / "cb.txt").write_text("w05*\n")
+    loads = []
+    monkeypatch.setattr(cli, "load_embedding", loads.append)
+    names = ["gauss", "other"] if command == "compare" else []
+    argv = [command, str(two_embeddings), *names] + quick_args(tmp_path / "o")
+    assert main(argv) == 1
+    assert loads == []
+    assert "cb.txt:1: wildcard entry 'w05*'" in capsys.readouterr().err
+
+
 def test_eval_jsonl_names_the_reported_embedding():
     vocab = [f"w{i:03d}" for i in range(60)]
     store = random_gaussian_embedding(vocab, 4, seed=1, name="y")
@@ -633,6 +670,17 @@ def test_invalid_experiment_flag_is_input_error(workspace, tmp_path, capsys, fla
     argv = ["eval", str(manifest)] + quick_args(tmp_path / "o") + [flag, value]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_random_embedding_rejects_a_vocab_word_with_whitespace(tmp_path, capsys):
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("paris\nnew york\n")
+    out = tmp_path / "g.txt"
+    assert main(["gen-random-embedding", str(out), "--vocab", str(vocab)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {vocab}:2: word 'new york' contains whitespace\n"
+    )
+    assert not out.exists()
 
 
 def test_gen_random_embedding_zero_words_is_input_error(tmp_path, capsys):

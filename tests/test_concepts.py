@@ -65,6 +65,29 @@ def test_expand_wildcards():
         expand_wildcards(["ha*py"], vocab)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ["*"],  # every word
+        ["hap*", "happy*"],  # a stem that is itself a word
+        ["zz*", "\uffff*"],  # stems past the last word
+        ["caf*", "café*", "über*", "ü*", "日*"],  # non-ASCII stems
+        ["x*", "sad"],  # no match, and a plain entry
+    ],
+)
+def test_expand_wildcards_matches_a_scan_of_the_vocabulary(entries):
+    vocab = ["happy", "happier", "happiness", "sad", "hap", "ha", "café", "cafe",
+             "cafés", "über", "uber", "ü", "日本", "日", "zebra", "z", "été"]
+    oracle = set()
+    for entry in entries:
+        if entry.endswith("*"):
+            oracle.update(w for w in vocab if w.startswith(entry[:-1]))
+        else:
+            oracle.add(entry)
+    assert expand_wildcards(entries, vocab) == sorted(oracle)
+    assert expand_wildcards(entries, reversed(vocab)) == sorted(oracle)
+
+
 def test_resolve_partitions(gaussian_store):
     words = set(gaussian_store.vocabulary[:10]) | {"missing1", "missing2"}
     concept = Concept(name="c", words=frozenset(words))

@@ -72,34 +72,56 @@ def test_run_concept_stacked_records_equal_serial_iterations(gaussian_store):
             assert agg.records == serial
 
 
+LOSS_ERROR = "non-finite training loss at epoch 1 (learning rate 0.1)"
+
+
 @pytest.mark.parametrize(
-    "scale, train_cfg, message",
+    "scale, train_cfg, message, row, index",
     [
         # |x| ~ 1e200: the second epoch's logits overflow
-        (1e200, TrainConfig(epochs=20),
-         "non-finite training loss at epoch 1 (learning rate 0.1)"),
+        pytest.param(1e200, TrainConfig(epochs=20), LOSS_ERROR, None, 0,
+                     id=f"1e+200-train_cfg0-{LOSS_ERROR}"),
         # one step of rate 1e308 leaves infinite weights
-        (100.0, TrainConfig(learning_rate=1e308, epochs=1),
-         "non-finite model parameters"),
+        pytest.param(100.0, TrainConfig(learning_rate=1e308, epochs=1),
+                     "non-finite model parameters", None, 0,
+                     id="100.0-train_cfg1-non-finite model parameters"),
+        # only w0049 ~ 1e200: iteration 4 is the first to train on it
+        pytest.param(1e200, TrainConfig(epochs=20), LOSS_ERROR, "w0049", 4,
+                     id=f"1e+200-w0049-{LOSS_ERROR}"),
     ],
 )
 def test_run_concept_failed_fit_raises_the_serial_error(
-    gaussian_store, scale, train_cfg, message
+    gaussian_store, monkeypatch, scale, train_cfg, message, row, index
 ):
+    from conceptlearn import experiment
+
+    scaled = np.ones((len(gaussian_store), 1))
+    scaled[slice(None) if row is None else gaussian_store.index[row]] = scale
     store = EmbeddingStore(
         name="scaled", dimension=gaussian_store.dimension,
-        vocabulary=gaussian_store.vocabulary, vectors=gaussian_store.vectors * scale,
+        vocabulary=gaussian_store.vocabulary, vectors=gaussian_store.vectors * scaled,
     )
     rc = random_concept(store, 10, seed=3, name="c10")
     cfg = quick_cfg(iterations=6, train=train_cfg)
+    splits = []
+
+    def spy(*args, _fn=experiment.make_split):
+        splits.append(args[2])
+        return _fn(*args)
+
     with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(index):
+            run_iteration(store, rc, cfg, i)
         with pytest.raises(RuntimeError) as serial:
-            run_iteration(store, rc, cfg, 0)
+            run_iteration(store, rc, cfg, index)
         for workers in (1, 2):
             with pytest.raises(RuntimeError) as stacked:
-                run_concept(store, rc, cfg, workers=workers)
+                with monkeypatch.context() as m:
+                    m.setattr(experiment, "make_split", spy)
+                    run_concept(store, rc, cfg, workers=workers)
             assert str(stacked.value) == str(serial.value)
-    assert str(serial.value) == f"iteration 0 of concept 'c10' failed: {message}"
+    assert str(serial.value) == f"iteration {index} of concept 'c10' failed: {message}"
+    assert splits == list(range(cfg.iterations))  # one draw per fit, at 1 worker
 
 
 def test_run_concept_normalize_flag(gaussian_store):
