@@ -13,13 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from . import report, stats
-from .concepts import (
-    ConceptError,
-    check_vocabulary_size,
-    expand_wildcards,
-    load_concept,
-    resolve,
-)
+from .concepts import ConceptError, expand_wildcards, load_concept, resolve
 from .embeddings import (
     EmbeddingParseError,
     EmbeddingSourceSpec,
@@ -115,20 +109,30 @@ def _command_inputs(args) -> tuple[RunManifest, ExperimentConfig]:
     return manifest, cfg
 
 
-def _run_embedding(manifest: RunManifest, name: str, cfg, workers: int,
-                   concepts=(), null: bool = True):
-    """Load a manifest embedding and run `concepts` (read once per command,
-    before the first load) and the null, as asked, as one task list. The
-    matrix is freed on return, before the next loads."""
-    store = load_embedding(manifest.embedding(name))
-    if null:
-        check_vocabulary_size(cfg.random_list_size, len(store))  # before any fit
+def _make_outdir(path: str) -> None:
+    """Create the report directory: the last check before the first load."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out {path}: {exc.strerror}") from None
+
+
+def _run_embedding(spec: EmbeddingSourceSpec, cfg, workers: int, concepts=(),
+                   null: bool = True):
+    """Load an embedding, normalized as asked, and run `concepts` (read once
+    per command, before the first load) and the null, as asked, as one task
+    list. The matrix is freed on return, before the next loads."""
+    store = load_embedding(spec)
+    if cfg.normalize:  # run_embedding's own normalize is then a no-op
+        try:
+            store = normalize(store)
+        except ValueError as exc:
+            raise InputError(f"{spec.path}: {exc}") from None
     resolved = [resolve(c, store) for c in concepts]
     return run_embedding(store, cfg, resolved, null=null, workers=workers)
 
 
 def _write(outdir: str, filename: str, text: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, filename), "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -142,8 +146,9 @@ def cmd_eval(args) -> int:
                 f"unknown format {fmt!r} (choose from {','.join(EVAL_FORMATS)})"
             )
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
-    for name, _ in manifest.embeddings:
-        aggregates, null = _run_embedding(manifest, name, cfg, args.workers, concepts)
+    _make_outdir(args.out)
+    for name, spec in manifest.embeddings:
+        aggregates, null = _run_embedding(spec, cfg, args.workers, concepts)
         for fmt, render in EVAL_FORMATS.items():
             if fmt in formats:
                 _write(args.out, f"{name}-eval.{fmt}", render(name, aggregates, null, cfg))
@@ -153,7 +158,9 @@ def cmd_eval(args) -> int:
 def cmd_null(args) -> int:
     manifest, cfg = _command_inputs(args)
     name = args.embedding or manifest.embeddings[0][0]
-    _, null = _run_embedding(manifest, name, cfg, args.workers)
+    spec = manifest.embedding(name)
+    _make_outdir(args.out)
+    _, null = _run_embedding(spec, cfg, args.workers)
     _write(args.out, f"{name}-null.txt", report.null_report_text(name, null, cfg))
     _write(args.out, f"{name}-null.jsonl", report.null_report_jsonl(name, null, cfg))
     return 0
@@ -161,12 +168,15 @@ def cmd_null(args) -> int:
 
 def cmd_compare(args) -> int:
     manifest, cfg = _command_inputs(args)
+    pair = [(n, manifest.embedding(n)) for n in (args.embedding_a, args.embedding_b)]
+    if len(manifest.concepts) < 2:
+        raise InputError(f"{args.manifest}: compare needs at least 2 concepts, "
+                         f"got {len(manifest.concepts)}")
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
+    _make_outdir(args.out)
     aucs = {}
-    for name in (args.embedding_a, args.embedding_b):
-        aggregates, _ = _run_embedding(
-            manifest, name, cfg, args.workers, concepts, null=False
-        )
+    for name, spec in pair:
+        aggregates, _ = _run_embedding(spec, cfg, args.workers, concepts, null=False)
         aucs[name] = {agg.concept_name: agg.means["auc"] for agg in aggregates}
     names = [n for n, _ in manifest.concepts]
     a = [aucs[args.embedding_a][n] for n in names]

@@ -6,9 +6,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
-from .embeddings import EmbeddingStore, open_utf8, rows_outside, stream
+from .embeddings import EmbeddingStore, open_utf8, stream
 
 # halving needs >= 2 train and >= 2 test positives
 MIN_RESOLVED_SIZE = 4
@@ -145,22 +143,14 @@ def resolve(concept: Concept, store: EmbeddingStore) -> ResolvedConcept:
 
 
 def random_concept(
-    store: EmbeddingStore,
-    size: int,
-    exclude=frozenset(),
-    seed: int = 0,
-    name: str = "random",
+    store: EmbeddingStore, size: int, seed: int = 0, name: str = "random"
 ) -> ResolvedConcept:
-    """Uniform sample of `size` words (without replacement) from V minus
-    `exclude`, packaged as an already-resolved concept."""
-    taken = np.sort(
-        np.array([store.index[w] for w in exclude if w in store.index], dtype=np.intp)
-    )
-    available = len(store) - len(taken)
-    if size > available:
-        raise ConceptError(f"cannot sample {size} words from {available} available")
-    picked = stream(seed, name).choice(available, size=size, replace=False)
-    words = tuple(sorted(store.vocabulary[i] for i in rows_outside(taken, picked)))
+    """Uniform sample of `size` words (without replacement) from the whole
+    vocabulary, packaged as an already-resolved concept."""
+    if size > len(store):
+        raise ConceptError(f"cannot sample {size} words from {len(store)} available")
+    picked = stream(seed, name).choice(len(store), size=size, replace=False)
+    words = tuple(sorted(store.vocabulary[i] for i in picked))
     concept = Concept(name=name, words=frozenset(words), source="random sample")
     return ResolvedConcept(
         concept=concept, embedding_name=store.name, in_vocab=words, dropped=()

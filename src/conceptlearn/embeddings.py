@@ -44,14 +44,6 @@ def stream(seed: int, *names: str, spawn_key=()) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def rows_outside(taken: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The rows `np.delete(np.arange(V), taken)[draws]`, for sorted distinct
-    `taken`, without building that V-length pool: pool row j is j plus the
-    number of taken rows below it, which are those with at most j pool rows
-    below them (taken[i] - i <= j)."""
-    return draws + np.searchsorted(taken - np.arange(len(taken)), draws, "right")
-
-
 @dataclass(frozen=True)
 class EmbeddingSourceSpec:
     """Where and how to read a vector file.

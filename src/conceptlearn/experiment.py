@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concepts import MIN_RESOLVED_SIZE, ResolvedConcept, random_concept
+from .concepts import (
+    MIN_RESOLVED_SIZE, ResolvedConcept, check_vocabulary_size, random_concept,
+)
 from .embeddings import EmbeddingStore, normalize
 from .metrics import METRIC_NAMES, MetricsRecord, evaluate_scores
 from .perceptron import TrainConfig, score, stack_size, train, train_many
@@ -105,20 +107,19 @@ def _run_fits(
     return records
 
 
-# A pool worker's (store, concepts, cfg, exclude), appended by the pool's
-# initializer. The pool forks, so the store reaches it as shared pages.
+# A pool worker's (store, concepts, cfg), appended by the pool's initializer.
+# The pool forks, so the store reaches it as shared pages.
 _WORK: list = []
 
 
 def _run_task(task: tuple, work=None):
     """("iter", c, iterations) -> those iterations' records of concept c;
     ("null", k) -> the metric means of random list k."""
-    store, concepts, cfg, exclude = work or _WORK[0]
+    store, concepts, cfg = work or _WORK[0]
     if task[0] == "iter":
         return _run_fits(store, concepts[task[1]], cfg, task[2])
     rc = random_concept(
-        store, cfg.random_list_size, exclude=exclude, seed=cfg.master_seed,
-        name=f"random-{task[1]:04d}",
+        store, cfg.random_list_size, seed=cfg.master_seed, name=f"random-{task[1]:04d}"
     )
     return _aggregate(rc, _run_fits(store, rc, cfg, range(cfg.iterations))).means
 
@@ -132,16 +133,19 @@ def default_workers() -> int:
 
 
 def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
-                  null: bool = False, exclude=frozenset(), workers: int = 1):
+                  null: bool = False, workers: int = 1):
     """Run `concepts` (ResolvedConcepts) and, with `null`, the null on one
     store as one list of keyed tasks, ("iter", c, iterations) and ("null",
     k), on one fork pool of at most one worker per task, or in order on one
     worker. Returns the AggregateResults and NullDistribution (None without
     `null`), keyed by task and read in task order: neither the order nor the
-    cut of the tasks changes a number or an error."""
+    cut of the tasks changes a number or an error. A random list too large
+    for the store raises before any fit."""
+    if null:
+        check_vocabulary_size(cfg.random_list_size, len(store))
     if cfg.normalize:
         store = normalize(store)
-    work = (store, concepts, cfg, frozenset(exclude))
+    work = (store, concepts, cfg)
     n, share = cfg.iterations, math.ceil(cfg.iterations / max(1, workers))
     cuts = [range(i, min(i + share, n)) for i in range(0, n, share)]
     tasks = [("iter", c, cut) for c in range(len(concepts)) for cut in cuts]
@@ -206,18 +210,16 @@ def _aggregate(resolved: ResolvedConcept, records) -> AggregateResult:
 
 
 def run_null(
-    store: EmbeddingStore,
-    cfg: ExperimentConfig,
-    exclude=frozenset(),
-    workers: int = 1,
+    store: EmbeddingStore, cfg: ExperimentConfig, workers: int = 1
 ) -> NullDistribution:
     """Null distribution from cfg.random_list_count random word lists.
 
-    Each list runs the full per-concept protocol under its own derived seed.
+    Each list is drawn from the whole vocabulary and runs the full
+    per-concept protocol under its own derived seed.
     The max row is a per-metric maximum across lists; the mean row is the
     per-metric average.
     """
-    return run_embedding(store, cfg, null=True, exclude=exclude, workers=workers)[1]
+    return run_embedding(store, cfg, null=True, workers=workers)[1]
 
 
 def empirical_p_value(observed: float, null_values) -> float:

@@ -17,7 +17,6 @@ class MetricsRecord:
     fpr: float
     precision: float
     auc: float  # NaN until roc_auc is filled in
-    threshold: float
     tp: int
     fp: int
     tn: int
@@ -76,7 +75,6 @@ def confusion_metrics(scores, labels, threshold: float = 0.5) -> MetricsRecord:
         fpr=fp / (fp + tn),
         precision=precision,
         auc=float("nan"),
-        threshold=threshold,
         tp=tp,
         fp=fp,
         tn=tn,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concepts import MIN_RESOLVED_SIZE, ResolvedConcept, check_vocabulary_size
-from .embeddings import EmbeddingStore, rows_outside, stream
+from .embeddings import EmbeddingStore, stream
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +22,6 @@ class EvaluationSplit:
     test_pos: np.ndarray
     test_neg: np.ndarray
     iteration_index: int
-    seed: int
 
     @property
     def train_rows(self) -> np.ndarray:
@@ -62,6 +61,14 @@ def train_positives(n: int) -> int:
     return math.ceil(n / 2)
 
 
+def rows_outside(taken: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The rows `np.delete(np.arange(V), taken)[draws]`, for sorted distinct
+    `taken`, without building that V-length pool: pool row j is j plus the
+    number of taken rows below it, which are those with at most j pool rows
+    below them (taken[i] - i <= j)."""
+    return draws + np.searchsorted(taken - np.arange(len(taken)), draws, "right")
+
+
 def make_split(
     resolved: ResolvedConcept,
     store: EmbeddingStore,
@@ -93,5 +100,4 @@ def make_split(
         test_pos=pos[n_train:],
         test_neg=neg[n_train:],
         iteration_index=iteration_index,
-        seed=master_seed,
     )

@@ -320,6 +320,63 @@ def test_a_wildcard_list_fails_before_any_embedding_loads(
     assert "cb.txt:1: wildcard entry 'w05*'" in capsys.readouterr().err
 
 
+def test_compare_checks_its_names_and_concept_count_before_any_load(
+    two_embeddings, tmp_path, monkeypatch, capsys
+):
+    from conceptlearn import cli
+
+    ws = two_embeddings.parent
+    one = ws / "one-concept.ini"
+    one.write_text(two_embeddings.read_text().replace(f"beta = {ws / 'cb.txt'}\n", ""))
+    loads = []
+    monkeypatch.setattr(cli, "load_embedding", loads.append)
+    for manifest, names, message in [
+        (two_embeddings, ["gauss", "zz"], "no embedding named 'zz' in manifest"),
+        (one, ["gauss", "other"], f"{one}: compare needs at least 2 concepts, got 1"),
+    ]:
+        argv = ["compare", str(manifest), *names] + quick_args(tmp_path / "o")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert loads == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "null", "compare"])
+def test_an_unusable_out_fails_before_any_load(
+    two_embeddings, tmp_path, monkeypatch, capsys, command
+):
+    from conceptlearn import cli
+
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    loads = []
+    monkeypatch.setattr(cli, "load_embedding", loads.append)
+    names = ["gauss", "other"] if command == "compare" else []
+    assert main([command, str(two_embeddings), *names] + quick_args(out)) == 1
+    assert loads == []
+    assert capsys.readouterr().err == f"error: --out {out}: File exists\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "null", "compare"])
+def test_a_zero_row_under_normalize_is_an_input_error_before_any_fit(
+    two_embeddings, tmp_path, monkeypatch, capsys, command
+):
+    from conceptlearn import experiment
+
+    ws = two_embeddings.parent
+    emb = ws / "emb.txt"
+    lines = emb.read_text().splitlines(keepends=True)
+    lines[5] = "w005 " + " ".join(["0"] * 6) + "\n"
+    emb.write_text("".join(lines))
+    fits = []
+    monkeypatch.setattr(experiment, "_run_fits", lambda *a: fits.append(a))
+    names = ["gauss", "other"] if command == "compare" else []
+    argv = [command, str(two_embeddings), *names] + quick_args(tmp_path / "o")
+    assert main(argv + ["--normalize"]) == 1
+    assert fits == []
+    assert capsys.readouterr().err == f"error: {emb}: zero vector for word 'w005'\n"
+
+
 def test_eval_jsonl_names_the_reported_embedding():
     vocab = [f"w{i:03d}" for i in range(60)]
     store = random_gaussian_embedding(vocab, 4, seed=1, name="y")
@@ -366,7 +423,8 @@ def test_compare_identical_embedding_reports_indistinguishable(workspace, tmp_pa
     m2 = ws / "two.ini"
     ca = ws / "ca.txt"
     m2.write_text(
-        f"[embeddings]\na = {emb_path}\nb = {emb_path}\n[concepts]\nalpha = {ca}\n"
+        f"[embeddings]\na = {emb_path}\nb = {emb_path}\n"
+        f"[concepts]\nalpha = {ca}\nbeta = {ws / 'cb.txt'}\n"
     )
     out = tmp_path / "out"
     assert main(["compare", str(m2), "a", "b"] + quick_args(out)) == 0

@@ -210,12 +210,19 @@ def test_run_null_deterministic_across_workers(gaussian_store):
     assert a.per_list == b.per_list
 
 
-def test_run_null_excludes(gaussian_store):
-    # exclusion changes the sampled lists
-    cfg = quick_cfg(random_list_count=2)
-    a = run_null(gaussian_store, cfg)
-    b = run_null(gaussian_store, cfg, exclude=frozenset(gaussian_store.vocabulary[:200]))
-    assert a.per_list != b.per_list
+def test_an_oversize_random_list_raises_before_any_fit(monkeypatch):
+    from conceptlearn import ConceptError, experiment
+
+    store = random_gaussian_embedding([f"w{i:03d}" for i in range(120)], 4, seed=1)
+    rc = random_concept(store, 6, seed=2, name="c")
+    fits = []
+    monkeypatch.setattr(experiment, "_run_fits", lambda *a: fits.append(a))
+    cfg = quick_cfg(random_list_size=60)
+    with pytest.raises(ConceptError, match=(
+        "^vocabulary of 120 too small for disjoint negatives on a concept of 60 words$"
+    )):
+        experiment.run_embedding(store, cfg, [rc], null=True)
+    assert fits == []
 
 
 def test_empirical_p_value():

@@ -36,7 +36,7 @@ def manual_split(store, train_pos, train_neg):
     pos, neg = rows_of(store, train_pos), rows_of(store, train_neg)
     return EvaluationSplit(
         train_pos=pos, train_neg=neg, test_pos=pos, test_neg=neg,
-        iteration_index=0, seed=0,
+        iteration_index=0,
     )
 
 
