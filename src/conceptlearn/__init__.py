@@ -34,7 +34,6 @@ from .experiment import (
 from .metrics import (
     METRIC_NAMES,
     MetricsRecord,
-    confusion_metrics,
     evaluate_scores,
     roc_auc,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ResolvedConcept",
     "TrainConfig",
     "WilcoxonOutcome",
-    "confusion_metrics",
     "critical_value",
     "empirical_p_value",
     "evaluate_scores",

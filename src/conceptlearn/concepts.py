@@ -4,7 +4,9 @@ and random lists for null distributions."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .embeddings import EmbeddingStore, open_utf8, stream
 
@@ -43,15 +45,19 @@ class ResolvedConcept:
     """A concept intersected with an embedding vocabulary.
 
     `in_vocab` keeps a deterministic (sorted) order so downstream sampling is
-    reproducible; `dropped` records the out-of-vocabulary words.
+    reproducible, and `rows` their rows in the store resolved against;
+    `dropped` records the out-of-vocabulary words.
     """
 
     concept: Concept
     embedding_name: str
     in_vocab: tuple[str, ...]
     dropped: tuple[str, ...]
+    rows: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
+        if len(self.rows) != len(self.in_vocab):
+            raise ConceptError("rows and in_vocab differ in length")
         if set(self.in_vocab) | set(self.dropped) != set(self.concept.words):
             raise ConceptError("in_vocab and dropped do not partition the concept")
         if set(self.in_vocab) & set(self.dropped):
@@ -139,6 +145,7 @@ def resolve(concept: Concept, store: EmbeddingStore) -> ResolvedConcept:
         embedding_name=store.name,
         in_vocab=tuple(in_vocab),
         dropped=tuple(dropped),
+        rows=np.array([store.index[w] for w in in_vocab], dtype=np.intp),
     )
 
 
@@ -149,9 +156,11 @@ def random_concept(
     vocabulary, packaged as an already-resolved concept."""
     if size > len(store):
         raise ConceptError(f"cannot sample {size} words from {len(store)} available")
-    picked = stream(seed, name).choice(len(store), size=size, replace=False)
-    words = tuple(sorted(store.vocabulary[i] for i in picked))
+    picked = stream(seed, name).choice(len(store), size=size, replace=False).tolist()
+    picked.sort(key=store.vocabulary.__getitem__)  # in_vocab is in word order
+    words = tuple(store.vocabulary[i] for i in picked)
     concept = Concept(name=name, words=frozenset(words), source="random sample")
     return ResolvedConcept(
-        concept=concept, embedding_name=store.name, in_vocab=words, dropped=()
+        concept=concept, embedding_name=store.name, in_vocab=words, dropped=(),
+        rows=np.array(picked, dtype=np.intp),
     )

@@ -103,19 +103,19 @@ class EmbeddingStore:
         return len(self.vocabulary)
 
     def lookup(self, word: str) -> np.ndarray | None:
-        """Row vector for `word`, or None if out of vocabulary."""
+        """Row vector for `word` as `gather` reads it, or None if out of
+        vocabulary."""
         i = self.index.get(word)
-        if i is None:
-            return None
-        return self.vectors[i] if self.norms is None else self.gather(i)
+        return None if i is None else self.gather(i)
 
     def gather(self, rows) -> np.ndarray:
-        """The rows at `rows` (an index array of any shape, or a slice) as
-        float64, divided by their `norms` when the store has them. Training,
-        scoring and `save_embedding` read the matrix only through here."""
+        """The rows at `rows` (an index, an index array of any shape, or a
+        slice) as a new float64 array, divided by their `norms` when the
+        store has them. Training, scoring, `lookup` and `save_embedding` read
+        the matrix only through here."""
         X = self.vectors[rows]
         if self.norms is None:
-            return np.asarray(X, dtype=np.float64)
+            return X.astype(np.float64)  # a copy even of float64 rows
         return X / self.norms[rows][..., None]
 
 

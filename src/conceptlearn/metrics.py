@@ -3,7 +3,7 @@ in the rank-based Mann-Whitney form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ class MetricsRecord:
     recall: float
     fpr: float
     precision: float
-    auc: float  # NaN until roc_auc is filled in
+    auc: float
     tp: int
     fp: int
     tn: int
@@ -53,33 +53,12 @@ def _validate(scores, labels):
     n_pos = int(labels.sum())
     if n_pos == 0 or n_pos == labels.size:
         raise ValueError("need at least one positive and one negative label")
-    return scores, labels
+    return scores, labels, n_pos
 
 
-def confusion_metrics(scores, labels, threshold: float = 0.5) -> MetricsRecord:
-    """Thresholded metrics: predict positive iff score >= threshold.
-
-    Precision with no positive predictions is defined as 0 (the TP+FP count
-    is kept in the record). The AUC slot is left NaN.
-    """
-    scores, labels = _validate(scores, labels)
-    pred = scores >= threshold
-    tp = int(np.sum(pred & labels))
-    fp = int(np.sum(pred & ~labels))
-    tn = int(np.sum(~pred & ~labels))
-    fn = int(np.sum(~pred & labels))
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    return MetricsRecord(
-        accuracy=(tp + tn) / scores.size,
-        recall=tp / (tp + fn),
-        fpr=fp / (fp + tn),
-        precision=precision,
-        auc=float("nan"),
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-    )
+def _auc(scores, labels, n_pos: int) -> float:
+    rank_sum = float(rankdata(scores)[labels].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (scores.size - n_pos))
 
 
 def roc_auc(scores, labels) -> float:
@@ -89,15 +68,27 @@ def roc_auc(scores, labels) -> float:
     integration over all distinct thresholds and the Mann-Whitney statistic
     (#{pos > neg} + 0.5 #{pos = neg}) / (P * N).
     """
-    scores, labels = _validate(scores, labels)
-    ranks = rankdata(scores)
-    n_pos = int(labels.sum())
-    n_neg = scores.size - n_pos
-    rank_sum = float(ranks[labels].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _auc(*_validate(scores, labels))
 
 
 def evaluate_scores(scores, labels, threshold: float = 0.5) -> MetricsRecord:
-    """Confusion metrics plus AUC in one record."""
-    rec = confusion_metrics(scores, labels, threshold)
-    return replace(rec, auc=roc_auc(scores, labels))
+    """Thresholded metrics (predict positive iff score >= threshold) and the
+    `roc_auc` of the scores, in one record. Precision with no positive
+    predictions is defined as 0 (the TP+FP count is kept in the record).
+    """
+    scores, labels, n_pos = _validate(scores, labels)
+    pred = scores >= threshold
+    tp = int(np.count_nonzero(pred & labels))
+    fp = int(np.count_nonzero(pred)) - tp
+    tn, fn = scores.size - n_pos - fp, n_pos - tp
+    return MetricsRecord(
+        accuracy=(tp + tn) / scores.size,
+        recall=tp / (tp + fn),
+        fpr=fp / (fp + tn),
+        precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
+        auc=_auc(scores, labels, n_pos),
+        tp=tp,
+        fp=fp,
+        tn=tn,
+        fn=fn,
+    )

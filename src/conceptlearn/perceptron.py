@@ -19,12 +19,15 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # `not x > 0` form: NaN fails too
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.early_stop_tol < 0:
+        if not self.early_stop_tol >= 0:
             raise ValueError("early_stop_tol must be >= 0")
+        if not self.l2 >= 0:
+            raise ValueError("l2 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,10 @@ def sigmoid(z):
     return out
 
 
-def cross_entropy(z: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy from logits, via the stable softplus form."""
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+def cross_entropy(z: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy from logits over the last axis, via the stable
+    softplus form: a number for one model's z, one per model for a stack."""
+    return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
 
 
 def train(
@@ -197,7 +201,7 @@ def loss_and_gradient(X, y, theta, bias, l2: float = 0.0):
     differences. X, y and theta are float64 arrays.
     """
     z = X @ theta + bias
-    loss = cross_entropy(z, y)
+    loss = float(cross_entropy(z, y))
     resid = sigmoid(z) - y
     grad_theta = X.T @ resid / len(y)
     if l2 > 0.0:
@@ -211,7 +215,7 @@ def _stacked_loss_and_gradient(X, y, theta, bias, l2: float):
     bias (K,). Every slice takes the operations of the serial function in
     the same order, so its results are bitwise the serial ones."""
     z = (X @ theta[:, :, None])[:, :, 0] + bias[:, None]
-    loss = np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
+    loss = cross_entropy(z, y)
     resid = sigmoid(z) - y
     grad_theta = (np.swapaxes(X, 1, 2) @ resid[:, :, None])[:, :, 0] / len(y)
     if l2 > 0.0:

@@ -77,8 +77,8 @@ def make_split(
 ) -> EvaluationSplit:
     """One labeled train/test partition, as vocabulary row indices.
 
-    Positives: a uniform shuffle of the concept's rows (taken in `in_vocab`
-    order), first `train_positives(n)` to train. Negatives: a
+    Positives: a uniform shuffle of `resolved.rows` (in `in_vocab` order),
+    first `train_positives(n)` to train. Negatives: a
     single without-replacement draw from the rows of V minus the concept, in
     vocabulary order, first |train_pos| to train and the rest to test, so the
     two negative sets are disjoint within an iteration.
@@ -88,7 +88,7 @@ def make_split(
         raise ValueError(f"concept of {n} words is too small to split")
     check_vocabulary_size(n, len(store))
     rng = split_rng(master_seed, resolved.concept.name, iteration_index)
-    rows = np.array([store.index[w] for w in resolved.in_vocab], dtype=np.intp)
+    rows = resolved.rows
 
     n_train = train_positives(n)
     pos = rows[rng.permutation(n)]

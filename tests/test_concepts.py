@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from conceptlearn import (
     resolve,
 )
 from conceptlearn.embeddings import name_key
+from conftest import rows_of
 
 
 def write_list(tmp_path, text, name="list.txt"):
@@ -141,6 +144,26 @@ def test_random_concept_uniform():
     expected, sigma = draws / 10, np.sqrt(draws * 0.1 * 0.9)
     for c in counts.values():
         assert abs(c - expected) <= 4 * sigma
+
+
+def test_resolved_rows_are_the_rows_of_in_vocab():
+    # vocabulary in shuffled order: in_vocab (word) order is not row order
+    vocab = [f"w{i:03d}" for i in range(200)]
+    order = np.random.default_rng(6).permutation(len(vocab))
+    store = random_gaussian_embedding([vocab[i] for i in order], 3, seed=1)
+    words = frozenset(vocab[i] for i in range(0, 200, 7)) | {"oov"}
+    concepts = [resolve(Concept(name="c", words=words), store)]
+    concepts += [random_concept(store, n, seed=n, name="r") for n in (4, 31, 99)]
+    for rc in concepts:
+        assert rc.in_vocab == tuple(sorted(rc.in_vocab))
+        assert rc.rows.dtype == np.intp
+        assert np.array_equal(rc.rows, rows_of(store, rc.in_vocab))
+
+
+def test_resolved_rows_must_match_in_vocab(gaussian_store):
+    rc = random_concept(gaussian_store, 8, seed=0)
+    with pytest.raises(ConceptError, match="rows and in_vocab differ in length"):
+        replace(rc, rows=rc.rows[:-1])
 
 
 def test_random_concept_matches_word_pool_reference():

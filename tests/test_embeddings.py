@@ -147,6 +147,18 @@ def test_lookup_oov_returns_none(tiny_store):
     assert store.lookup("zebra") is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lookup_reads_a_float64_copy(dtype):
+    vectors = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=dtype)
+    store = EmbeddingStore(name="c", dimension=2, vocabulary=("a", "b"), vectors=vectors)
+    before = store.vectors.copy()
+    row = store.lookup("a")
+    assert row.dtype == np.float64 and np.array_equal(row, [1.0, 2.0])
+    row[0] = 99.0
+    assert np.array_equal(store.vectors, before)
+    assert np.array_equal(store.lookup("a"), [1.0, 2.0])
+
+
 def test_normalize_345(small_store):
     store = EmbeddingStore(
         name="n", dimension=2, vocabulary=("a", "b"),

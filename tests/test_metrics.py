@@ -1,24 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conceptlearn import confusion_metrics, evaluate_scores, roc_auc
+from conceptlearn import MetricsRecord, evaluate_scores, roc_auc
 
 from conftest import pairwise_auc
 
 
 def test_perfect_case():
-    rec = confusion_metrics([0.9, 0.1], [1, 0], 0.5)
+    rec = evaluate_scores([0.9, 0.1], [1, 0], 0.5)
     assert (rec.accuracy, rec.recall, rec.fpr, rec.precision) == (1.0, 1.0, 0.0, 1.0)
     assert (rec.tp, rec.fp, rec.tn, rec.fn) == (1, 0, 1, 0)
 
 
 def test_inverted_case():
-    rec = confusion_metrics([0.1, 0.9], [1, 0], 0.5)
+    rec = evaluate_scores([0.1, 0.9], [1, 0], 0.5)
     assert (rec.accuracy, rec.recall, rec.fpr, rec.precision) == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_all_predicted_negative():
-    rec = confusion_metrics([0.4, 0.4], [1, 0], 0.5)
+    rec = evaluate_scores([0.4, 0.4], [1, 0], 0.5)
     assert rec.recall == 0.0
     assert rec.fpr == 0.0
     assert rec.precision == 0.0  # TP+FP = 0 convention
@@ -26,20 +28,20 @@ def test_all_predicted_negative():
 
 
 def test_threshold_is_inclusive():
-    rec = confusion_metrics([0.5, 0.4], [1, 0], 0.5)
+    rec = evaluate_scores([0.5, 0.4], [1, 0], 0.5)
     assert rec.recall == 1.0
 
 
 def test_one_class_rejected():
     with pytest.raises(ValueError, match="at least one positive"):
-        confusion_metrics([0.5, 0.6], [1, 1], 0.5)
+        evaluate_scores([0.5, 0.6], [1, 1], 0.5)
     with pytest.raises(ValueError):
         roc_auc([0.5, 0.6], [0, 0])
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        confusion_metrics([0.5], [1, 0], 0.5)
+        evaluate_scores([0.5], [1, 0], 0.5)
 
 
 def test_auc_perfect_and_ties():
@@ -91,6 +93,49 @@ def test_random_scores_concentrate_at_half():
     rec = evaluate_scores(scores, labels, 0.5)
     for name in ("accuracy", "recall", "fpr", "precision", "auc"):
         assert 0.48 <= getattr(rec, name) <= 0.52
+
+
+def reference_evaluate_scores(scores, labels, threshold):
+    """The two-pass record `evaluate_scores` replaced, kept as its oracle:
+    four boolean sums and `roc_auc`."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=bool)
+    pred = scores >= threshold
+    tp = int(np.sum(pred & labels))
+    fp = int(np.sum(pred & ~labels))
+    tn = int(np.sum(~pred & ~labels))
+    fn = int(np.sum(~pred & labels))
+    return MetricsRecord(
+        accuracy=(tp + tn) / scores.size,
+        recall=tp / (tp + fn),
+        fpr=fp / (fp + tn),
+        precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
+        auc=roc_auc(scores, labels),
+        tp=tp,
+        fp=fp,
+        tn=tn,
+        fn=fn,
+    )
+
+
+@pytest.mark.parametrize("kind", ["random", "tie-heavy", "threshold-at-a-score"])
+def test_evaluate_scores_matches_the_reference_record(kind):
+    rng = np.random.default_rng(len(kind))
+    for _ in range(200):
+        n = int(rng.integers(2, 80))
+        scores = rng.random(n)
+        threshold = 0.5
+        if kind == "tie-heavy":
+            scores = rng.integers(0, 5, size=n) / 4
+        elif kind == "threshold-at-a-score":
+            threshold = float(scores[rng.integers(n)])
+        labels = rng.integers(0, 2, size=n)
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        got = evaluate_scores(scores, labels, threshold)
+        want = reference_evaluate_scores(scores, labels, threshold)
+        for field in dataclasses.fields(MetricsRecord):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b) and a == b, field.name
 
 
 def test_evaluate_scores_fills_auc():

@@ -127,6 +127,20 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("l2", -1.0),  # trained like l2 = 0 yet reported as -1.0
+        ("l2", float("nan")),
+        ("learning_rate", float("nan")),
+        ("early_stop_tol", float("nan")),
+    ],
+)
+def test_config_rejects_negative_and_nan(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
 def test_loss_trace_non_increasing(gaussian_store):
     rc = random_concept(gaussian_store, 30, seed=2)
     split = make_split(rc, gaussian_store, 0, 0)

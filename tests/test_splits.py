@@ -172,6 +172,21 @@ def test_rows_match_word_pool_reference():
                 assert got == ref[f]
 
 
+def test_make_split_reads_the_resolved_rows_not_the_index():
+    vocab = [f"w{i:03d}" for i in range(120)]
+    order = np.random.default_rng(3).permutation(len(vocab))
+    store = random_gaussian_embedding([vocab[i] for i in order], 2, seed=4)
+    words = frozenset(vocab[i] for i in range(0, 120, 9))
+    concepts = [resolve(Concept(name="c", words=words), store), concept_of(store, 17)]
+    object.__setattr__(store, "index", {})
+    for rc in concepts:
+        for it in range(4):
+            split = make_split(rc, store, it, 3)
+            ref = reference_split_words(rc, store, it, 3)
+            for f in ROW_FIELDS:
+                assert tuple(store.vocabulary[i] for i in getattr(split, f)) == ref[f]
+
+
 def reference_delete_split(resolved, store, iteration_index, master_seed):
     """The split `make_split` made through the V-length `np.delete` pool,
     kept as its oracle."""
