@@ -13,11 +13,13 @@ import sys
 from dataclasses import dataclass
 
 from . import report, stats
-from .concepts import ConceptError, expand_wildcards, load_concept, resolve
+from .concepts import (
+    ConceptError, check_vocabulary_size, expand_wildcards, load_concept, resolve,
+)
 from .embeddings import (
     EmbeddingParseError,
     EmbeddingSourceSpec,
-    load_embedding,
+    load_cached,
     normalize,
     open_utf8,
     random_gaussian_embedding,
@@ -117,18 +119,37 @@ def _make_outdir(path: str) -> None:
         raise InputError(f"--out {path}: {exc.strerror}") from None
 
 
-def _run_embedding(spec: EmbeddingSourceSpec, cfg, workers: int, concepts=(),
-                   null: bool = True):
-    """Load an embedding, normalized as asked, and run `concepts` (read once
-    per command, before the first load) and the null, as asked, as one task
-    list. The matrix is freed on return, before the next loads."""
-    store = load_embedding(spec)
+def _prepare(spec: EmbeddingSourceSpec, cfg, concepts=(), null: bool = True):
+    """Load an embedding through the vector-file cache, normalized as asked,
+    resolve `concepts` (read once per command, before the first load)
+    against it and, with `null`, check the random list size: every input
+    error that depends on the embedding's vocabulary."""
+    store = load_cached(spec)
     if cfg.normalize:  # run_embedding's own normalize is then a no-op
         try:
             store = normalize(store)
         except ValueError as exc:
             raise InputError(f"{spec.path}: {exc}") from None
     resolved = [resolve(c, store) for c in concepts]
+    if null:
+        check_vocabulary_size(cfg.random_list_size, len(store))
+    return store, resolved
+
+
+def _preflight(specs, cfg, concepts, null: bool = True) -> None:
+    """Before the first fit, `_prepare` each of `specs` (the embeddings after
+    a command's first) and free it before the next load, so a bad later
+    embedding fails before any fit. A miss writes the cache entry that the
+    command's own load of the file then hits."""
+    for spec in specs:
+        _prepare(spec, cfg, concepts, null)
+
+
+def _run_embedding(spec: EmbeddingSourceSpec, cfg, workers: int, concepts=(),
+                   null: bool = True):
+    """`_prepare` an embedding and run `concepts` and the null, as asked, as
+    one task list. The matrix is freed on return, before the next loads."""
+    store, resolved = _prepare(spec, cfg, concepts, null)
     return run_embedding(store, cfg, resolved, null=null, workers=workers)
 
 
@@ -147,6 +168,7 @@ def cmd_eval(args) -> int:
             )
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
     _make_outdir(args.out)
+    _preflight([spec for _, spec in manifest.embeddings[1:]], cfg, concepts)
     for name, spec in manifest.embeddings:
         aggregates, null = _run_embedding(spec, cfg, args.workers, concepts)
         for fmt, render in EVAL_FORMATS.items():
@@ -174,6 +196,7 @@ def cmd_compare(args) -> int:
                          f"got {len(manifest.concepts)}")
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
     _make_outdir(args.out)
+    _preflight([pair[1][1]], cfg, concepts, null=False)
     aucs = {}
     for name, spec in pair:
         aggregates, _ = _run_embedding(spec, cfg, args.workers, concepts, null=False)
@@ -236,7 +259,7 @@ def cmd_gen_random_embedding(args) -> int:
 
 def cmd_expand_wildcards(args) -> int:
     spec = EmbeddingSourceSpec(path=args.embedding_file, lowercase=True)
-    store = load_embedding(spec)
+    store = load_cached(spec)
     entries = [
         line.strip() for line in _read_lines(args.list_file)
         if line.strip() and not line.strip().startswith("#")

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import os
+import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -16,6 +19,10 @@ import numpy as np
 # bytes per row chunk of the whole-matrix passes (finiteness, norms); larger
 # blocks parse no faster and raise peak memory
 BLOCK_BYTES = 1 << 20
+
+# bump when the layout of a `load_cached` entry changes: old entries then
+# miss and are replaced
+CACHE_VERSION = 1
 
 
 class EmbeddingParseError(ValueError):
@@ -151,6 +158,97 @@ def load_embedding(spec: EmbeddingSourceSpec) -> EmbeddingStore:
 def load_embedding_dtype(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
     """load_embedding with an explicit storage dtype (float32 or float64)."""
     return _load(spec, np.dtype(dtype))
+
+
+def cache_root() -> str:
+    """The directory of `load_cached`'s entries: `$XDG_CACHE_HOME/conceptlearn`,
+    else `~/.cache/conceptlearn`."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return os.path.join(base, "conceptlearn")
+
+
+def load_cached(spec: EmbeddingSourceSpec) -> EmbeddingStore:
+    """`load_embedding` that parses each vector file once.
+
+    An entry is keyed by the sha256 of the file's bytes together with the
+    spec's `lowercase`, `max_words` and `format`, the float32 dtype and
+    CACHE_VERSION, so any change to the content misses, whatever its size or
+    mtime. A hit maps the matrix read-only from its `.npy` file (forked
+    workers share its pages) and reads the words and `skipped_duplicates`
+    from a word file; the store still checks the matrix. A miss parses the
+    file and then writes its entry, replacing the entry the same path had
+    before. A parse error writes nothing. A cache that cannot be read or
+    written costs one line on stderr and an uncached load; it never fails
+    the load.
+    """
+    h = hashlib.sha256(json.dumps(
+        [CACHE_VERSION, spec.lowercase, spec.max_words, spec.format, "float32"]
+    ).encode())
+    with open(spec.path, "rb") as fh:
+        while block := fh.read(BLOCK_BYTES):
+            h.update(block)
+    key = h.hexdigest()
+    entry = os.path.join(
+        cache_root(), hashlib.sha256(os.fsencode(os.path.realpath(spec.path))).hexdigest()
+    )
+    npy, words = os.path.join(entry, key + ".npy"), os.path.join(entry, key + ".words")
+    if os.path.exists(npy):
+        try:
+            with open(words, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+            vectors = np.load(npy, mmap_mode="r")
+            if vectors.dtype != np.float32 or vectors.ndim != 2:
+                raise ValueError(f"a {vectors.dtype} matrix of shape {vectors.shape}")
+            return EmbeddingStore(
+                name=spec.path,
+                dimension=vectors.shape[1],
+                vocabulary=tuple(meta["vocabulary"]),
+                # a plain ndarray view: the np.memmap subclass would pass on
+                # to every slice and result computed from the matrix
+                vectors=np.asarray(vectors),
+                skipped_duplicates=meta["skipped_duplicates"],
+            )
+        except (OSError, EOFError, ValueError, KeyError) as exc:
+            _cache_warning(f"cache entry {npy} is unreadable ({exc}); parsing "
+                           f"{spec.path} again")
+    store = _load(spec, np.float32)
+    try:
+        os.makedirs(entry, exist_ok=True)
+        meta = {"skipped_duplicates": store.skipped_duplicates,
+                "vocabulary": store.vocabulary}
+        # the word file first: an entry whose .npy is present is complete
+        _replace_file(words, lambda fh: fh.write(
+            json.dumps(meta, ensure_ascii=False).encode("utf-8")
+        ))
+        _replace_file(npy, lambda fh: np.save(fh, store.vectors))
+        for name in os.listdir(entry):  # the path's older entry
+            if not name.startswith((key, ".")):
+                os.unlink(os.path.join(entry, name))
+    except OSError as exc:
+        _cache_warning(f"cannot write the cache entry of {spec.path} ({exc})")
+    return store
+
+
+def _replace_file(path: str, write) -> None:
+    """Write a file through `write(binary file)` under a temporary name in
+    its directory, flush it to disk, then rename it to `path`: a reader sees
+    the old file or the whole new one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _cache_warning(message: str) -> None:
+    print(f"warning: vector cache: {message}", file=sys.stderr)
 
 
 def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:

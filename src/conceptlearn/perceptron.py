@@ -3,6 +3,7 @@ mean cross-entropy."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +20,16 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        # `not x > 0` form: NaN fails too
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        # comparison form: NaN fails too. An infinite early_stop_tol is
+        # valid: training stops at the first epoch whose loss does not rise
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not self.early_stop_tol >= 0:
             raise ValueError("early_stop_tol must be >= 0")
-        if not self.l2 >= 0:
-            raise ValueError("l2 must be >= 0")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError("l2 must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,14 @@ import pytest
 from conceptlearn import EmbeddingStore, random_gaussian_embedding
 
 
+@pytest.fixture(autouse=True)
+def vector_cache(tmp_path, monkeypatch):
+    """The root of the vector-file cache, one per test, so that no test
+    reads or writes the user's cache or another test's entries."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
+    return tmp_path / "xdg-cache" / "conceptlearn"
+
+
 @pytest.fixture
 def tiny_store(tmp_path):
     path = tmp_path / "tiny.txt"

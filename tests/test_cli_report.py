@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -123,11 +124,11 @@ def test_eval_normalizes_once_per_embedding(workspace, tmp_path, monkeypatch):
     loaded, read = [], []
 
     def tracking_load(spec):
-        store = embeddings.load_embedding(spec)
+        store = embeddings.load_cached(spec)
         loaded.append(store.vectors)
         return store
 
-    monkeypatch.setattr(cli, "load_embedding", tracking_load)
+    monkeypatch.setattr(cli, "load_cached", tracking_load)
     for attr in ("train", "train_many", "score"):
         def spy(first, store, *rest, _fn=getattr(experiment, attr)):
             read.append((store.vectors, store.norms))
@@ -182,15 +183,15 @@ def test_each_embedding_is_freed_before_the_next_loads(
 
     def tracking_load(spec):
         alive.append(sum(ref() is not None for ref in matrices))
-        store = embeddings.load_embedding(spec)
+        store = embeddings.load_cached(spec)
         matrices.append(weakref.ref(store.vectors))
         return store
 
-    monkeypatch.setattr(cli, "load_embedding", tracking_load)
+    monkeypatch.setattr(cli, "load_cached", tracking_load)
     names = ["gauss", "other"] if command == "compare" else []
     argv = [command, str(two), *names] + quick_args(tmp_path / "out") + normalize
     assert main(argv) == 0
-    assert alive == [0, 0]
+    assert alive == [0, 0, 0]  # the preflight load of `other`, then both runs
 
 
 @pytest.mark.parametrize("flags, passes", [([], 1), (["--normalize"], 1)])
@@ -198,7 +199,8 @@ def test_a_cli_load_checks_the_matrix_once_per_store(
     workspace, tmp_path, monkeypatch, flags, passes
 ):
     """The store's constructor checks the loaded matrix for non-finite
-    values, and `normalize` reuses the checked matrix."""
+    values, on a cache miss and on a hit, and `normalize` reuses the checked
+    matrix."""
     from conceptlearn import embeddings
 
     calls = []
@@ -209,8 +211,11 @@ def test_a_cli_load_checks_the_matrix_once_per_store(
 
     monkeypatch.setattr(embeddings, "_first_nonfinite_row", spy)
     _, manifest = workspace
-    assert main(["null", str(manifest)] + quick_args(tmp_path / "o") + flags) == 0
-    assert calls == [(120, 6)] * passes
+    for run in ("miss", "hit"):
+        calls.clear()
+        out = tmp_path / run
+        assert main(["null", str(manifest)] + quick_args(out) + flags) == 0
+        assert calls == [(120, 6)] * passes
 
 
 @pytest.fixture
@@ -258,6 +263,106 @@ def test_one_pool_per_loaded_embedding_and_the_same_reports_at_any_worker_count(
         assert pools == ([] if workers == 1 else [workers] * loads)
         reports[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert reports[1] and reports[2] == reports[1] and reports[3] == reports[1]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+def test_a_cache_miss_and_hit_write_the_same_reports(
+    two_embeddings, tmp_path, monkeypatch, vector_cache, workers, normalize
+):
+    from conceptlearn import embeddings
+
+    parsed = []
+
+    def spy(*args, _fn=embeddings._parse_block):
+        parsed.append(args[1])
+        return _fn(*args)
+
+    monkeypatch.setattr(embeddings, "_parse_block", spy)
+    for command, names in [("eval", []), ("null", []), ("compare", ["gauss", "other"])]:
+        shutil.rmtree(vector_cache, ignore_errors=True)
+        reports = {}
+        for run in ("miss", "hit"):
+            parsed.clear()
+            out = tmp_path / f"{command}-{run}"
+            argv = [command, str(two_embeddings), *names] + quick_args(out)
+            assert main(argv + normalize + ["--workers", workers]) == 0
+            assert bool(parsed) == (run == "miss")
+            reports[run] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert reports["miss"] and reports["hit"] == reports["miss"]
+        entries = 1 if command == "null" else 2  # null loads the first embedding only
+        assert len(list(vector_cache.rglob("*.npy"))) == entries
+
+
+def test_an_unusable_cache_root_loads_uncached(workspace, tmp_path, monkeypatch, capsys):
+    _, manifest = workspace
+    cached = tmp_path / "cached"
+    assert main(["null", str(manifest)] + quick_args(cached)) == 0
+    capsys.readouterr()
+    not_a_directory = tmp_path / "file"
+    not_a_directory.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    out = tmp_path / "uncached"
+    assert main(["null", str(manifest)] + quick_args(out)) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: vector cache: cannot write the cache entry of ")
+    assert err.count("\n") == 1
+    for report in cached.iterdir():
+        assert (out / report.name).read_bytes() == report.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_a_concept_a_later_embedding_lacks_fails_before_any_fit(
+    tmp_path, monkeypatch, capsys, command
+):
+    from conceptlearn import experiment
+
+    def write(path, words, seed):
+        store = random_gaussian_embedding(words, 4, seed=seed)
+        path.write_text("".join(
+            w + " " + " ".join(f"{v:.9g}" for v in row) + "\n"
+            for w, row in zip(store.vocabulary, store.vectors)
+        ))
+
+    write(tmp_path / "big.txt", [f"w{i:03d}" for i in range(400)], 1)
+    write(tmp_path / "small.txt", [f"x{i:02d}" for i in range(50)], 2)
+    (tmp_path / "c.txt").write_text("".join(f"w{i:03d}\n" for i in range(30)))
+    (tmp_path / "d.txt").write_text("".join(f"w{i:03d}\n" for i in range(30, 60)))
+    m = tmp_path / "m.ini"
+    m.write_text(f"[embeddings]\nbig = {tmp_path / 'big.txt'}\n"
+                 f"small = {tmp_path / 'small.txt'}\n"
+                 f"[concepts]\nc = {tmp_path / 'c.txt'}\nd = {tmp_path / 'd.txt'}\n")
+    fits = []
+    for attr in ("train", "train_many"):
+        monkeypatch.setattr(experiment, attr, lambda *a, _n=attr: fits.append(_n))
+    names = ["big", "small"] if command == "compare" else []
+    argv = [command, str(m), *names] + quick_args(tmp_path / "o")
+    assert main(argv + ["--random-list-size", "30"]) == 1
+    assert fits == []
+    assert capsys.readouterr().err == (
+        "error: concept 'c' too small after vocabulary resolution (0 < 4)\n"
+    )
+
+
+def test_a_random_list_a_later_embedding_cannot_hold_fails_before_any_fit(
+    two_embeddings, tmp_path, monkeypatch, capsys
+):
+    from conceptlearn import experiment
+
+    ws = two_embeddings.parent
+    (ws / "other.txt").write_text("".join((ws / "other.txt").read_text().splitlines(
+        keepends=True
+    )[:60]))
+    fits = []
+    for attr in ("train", "train_many"):
+        monkeypatch.setattr(experiment, attr, lambda *a, _n=attr: fits.append(_n))
+    argv = ["eval", str(two_embeddings)] + quick_args(tmp_path / "o")
+    assert main(argv + ["--random-list-size", "30"]) == 1
+    assert fits == []
+    assert capsys.readouterr().err == (
+        "error: vocabulary of 60 too small for disjoint negatives on a "
+        "concept of 30 words\n"
+    )
 
 
 def test_without_fork_a_multi_worker_run_is_serial_and_says_so_once(
@@ -312,7 +417,7 @@ def test_a_wildcard_list_fails_before_any_embedding_loads(
     ws = two_embeddings.parent
     (ws / "cb.txt").write_text("w05*\n")
     loads = []
-    monkeypatch.setattr(cli, "load_embedding", loads.append)
+    monkeypatch.setattr(cli, "load_cached", loads.append)
     names = ["gauss", "other"] if command == "compare" else []
     argv = [command, str(two_embeddings), *names] + quick_args(tmp_path / "o")
     assert main(argv) == 1
@@ -329,7 +434,7 @@ def test_compare_checks_its_names_and_concept_count_before_any_load(
     one = ws / "one-concept.ini"
     one.write_text(two_embeddings.read_text().replace(f"beta = {ws / 'cb.txt'}\n", ""))
     loads = []
-    monkeypatch.setattr(cli, "load_embedding", loads.append)
+    monkeypatch.setattr(cli, "load_cached", loads.append)
     for manifest, names, message in [
         (two_embeddings, ["gauss", "zz"], "no embedding named 'zz' in manifest"),
         (one, ["gauss", "other"], f"{one}: compare needs at least 2 concepts, got 1"),
@@ -350,7 +455,7 @@ def test_an_unusable_out_fails_before_any_load(
     out = tmp_path / "taken"
     out.write_text("a file, not a directory\n")
     loads = []
-    monkeypatch.setattr(cli, "load_embedding", loads.append)
+    monkeypatch.setattr(cli, "load_cached", loads.append)
     names = ["gauss", "other"] if command == "compare" else []
     assert main([command, str(two_embeddings), *names] + quick_args(out)) == 1
     assert loads == []
@@ -546,7 +651,7 @@ def test_list_too_large_for_the_vocabulary_fails_before_any_fit(
     )
 
 
-def test_non_finite_vector_is_input_error(workspace, tmp_path, capsys):
+def test_non_finite_vector_is_input_error(workspace, tmp_path, capsys, vector_cache):
     ws, _ = workspace
     lines = (ws / "emb.txt").read_text().splitlines(keepends=True)
     lines[6] = "w006 " + " ".join(["0.5"] * 5 + ["1e39"]) + "\n"  # inf as float32
@@ -556,6 +661,7 @@ def test_non_finite_vector_is_input_error(workspace, tmp_path, capsys):
     m.write_text(f"[embeddings]\ng = {emb}\n[concepts]\nalpha = {ws / 'ca.txt'}\n")
     assert main(["eval", str(m)] + quick_args(tmp_path / "o")) == 1
     assert f"{emb}:7: non-finite vector component" in capsys.readouterr().err
+    assert not vector_cache.exists()  # a parse error writes no cache entry
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -608,3 +609,83 @@ def test_loaded_index_is_shared_by_normalize(tmp_path):
     store = load_embedding(EmbeddingSourceSpec(path=str(p), lowercase=True))
     assert store.index == {"cat": 0, "dog": 1}
     assert normalize(store).index is store.index
+
+
+def _same_store(a, b):
+    assert (a.name, a.dimension, a.vocabulary, a.skipped_duplicates) == (
+        b.name, b.dimension, b.vocabulary, b.skipped_duplicates
+    )
+    assert a.vectors.dtype == b.vectors.dtype == np.float32
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+
+
+@pytest.fixture
+def vector_file(tmp_path):
+    """A header, upper-case words and a duplicate: every field the cache
+    keeps differs from its default."""
+    path = tmp_path / "v.txt"
+    path.write_text("4 3\nCat 1 2 3\ndog 4 5 6\ncat 7 8 9\nEmu -1 0.5 2e-3\n")
+    return path
+
+
+def test_a_hit_parses_nothing(vector_file, monkeypatch, vector_cache):
+    parsed = []
+
+    def spy(*args, _fn=embeddings._parse_block):
+        parsed.append(args[1])
+        return _fn(*args)
+
+    monkeypatch.setattr(embeddings, "_parse_block", spy)
+    spec = EmbeddingSourceSpec(path=str(vector_file), lowercase=True)
+    miss = embeddings.load_cached(spec)
+    assert parsed and len(list(vector_cache.rglob("*.npy"))) == 1
+    parsed.clear()
+    hit = embeddings.load_cached(spec)
+    assert parsed == []
+    assert miss.skipped_duplicates == 1
+    _same_store(hit, miss)
+    _same_store(hit, load_embedding(spec))
+    assert not hit.vectors.flags.writeable
+    assert hit.index == miss.index
+
+
+def test_a_changed_file_misses_whatever_its_size_and_mtime(
+    vector_file, monkeypatch, vector_cache
+):
+    spec = EmbeddingSourceSpec(path=str(vector_file))
+    embeddings.load_cached(spec)
+    before = vector_file.stat()
+    vector_file.write_text(vector_file.read_text().replace("dog 4", "dog 3"))
+    os.utime(vector_file, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = vector_file.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    store = embeddings.load_cached(spec)
+    assert store.lookup("dog")[0] == 3.0
+    _same_store(store, load_embedding(spec))
+    # so do other load options, and the path keeps one entry: the latest
+    short = EmbeddingSourceSpec(path=str(vector_file), max_words=2)
+    assert embeddings.load_cached(short).vocabulary == ("Cat", "dog")
+    assert len(list(vector_cache.rglob("*"))) == 3  # its directory and 2 files
+
+
+@pytest.mark.parametrize("damage", ["truncated npy", "empty npy", "missing words"])
+def test_a_damaged_entry_is_ignored_and_rewritten(
+    vector_file, monkeypatch, capsys, vector_cache, damage
+):
+    spec = EmbeddingSourceSpec(path=str(vector_file), lowercase=True)
+    embeddings.load_cached(spec)
+    [npy] = vector_cache.rglob("*.npy")
+    if damage == "truncated npy":
+        npy.write_bytes(npy.read_bytes()[:-5])
+    elif damage == "empty npy":
+        npy.write_bytes(b"")
+    else:
+        npy.with_suffix(".words").unlink()
+    store = embeddings.load_cached(spec)
+    _same_store(store, load_embedding(spec))
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: vector cache: cache entry {npy} is unreadable")
+    assert err.count("\n") == 1
+    monkeypatch.setattr(embeddings, "_parse_block", None)  # a hit parses nothing
+    _same_store(embeddings.load_cached(spec), store)
+    assert capsys.readouterr().err == ""

@@ -134,11 +134,21 @@ def test_config_validation():
         ("l2", float("nan")),
         ("learning_rate", float("nan")),
         ("early_stop_tol", float("nan")),
+        ("learning_rate", float("inf")),  # failed only inside the first fit
+        ("l2", float("inf")),
     ],
 )
 def test_config_rejects_negative_and_nan(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         TrainConfig(**{field: value})
+
+
+def test_an_infinite_early_stop_tol_stops_at_the_first_loss_decrease(gaussian_store):
+    rc = random_concept(gaussian_store, 30, seed=2)
+    split = make_split(rc, gaussian_store, 0, 0)
+    model = train(split, gaussian_store, TrainConfig(early_stop_tol=float("inf")))
+    assert model.epochs_run == 2
+    assert model.train_loss_trace[1] < model.train_loss_trace[0]
 
 
 def test_loss_trace_non_increasing(gaussian_store):
