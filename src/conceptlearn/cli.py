@@ -26,7 +26,6 @@ from .embeddings import (
     save_embedding,
 )
 from .experiment import ExperimentConfig, default_workers, run_embedding
-from .perceptron import TrainConfig
 from .stats import wilcoxon_signed_rank
 
 EVAL_FORMATS = {
@@ -102,7 +101,6 @@ def _command_inputs(args) -> tuple[RunManifest, ExperimentConfig]:
             random_list_count=args.random_lists,
             random_list_size=args.random_list_size,
             master_seed=args.seed,
-            train=TrainConfig(),
             normalize=args.normalize,
             threshold=args.threshold,
         )
@@ -283,14 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = ExperimentConfig()
+
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--iterations", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=defaults.master_seed)
+        p.add_argument("--iterations", type=int, default=defaults.iterations)
         p.add_argument("--normalize", action="store_true",
                        help="unit-normalize vectors before training")
-        p.add_argument("--threshold", type=float, default=0.5)
-        p.add_argument("--random-lists", type=int, default=1000)
-        p.add_argument("--random-list-size", type=int, default=400)
+        p.add_argument("--threshold", type=float, default=defaults.threshold)
+        p.add_argument("--random-lists", type=int, default=defaults.random_list_count)
+        p.add_argument("--random-list-size", type=int, default=defaults.random_list_size)
         p.add_argument("--workers", type=int, default=default_workers())
         p.add_argument("--out", default="runs/latest")
 

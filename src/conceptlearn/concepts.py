@@ -33,7 +33,6 @@ def check_vocabulary_size(n: int, vocabulary_size: int) -> None:
 class Concept:
     name: str
     words: frozenset[str]
-    source: str = ""
 
     def __post_init__(self):
         if not self.words:
@@ -96,7 +95,7 @@ def load_concept(path: str, name: str) -> Concept:
             words.add(word.lower())
     if not words:
         raise ConceptError(f"{path}: empty word list")
-    return Concept(name=name, words=frozenset(words), source=path)
+    return Concept(name=name, words=frozenset(words))
 
 
 def expand_wildcards(entries, vocabulary) -> list[str]:
@@ -159,7 +158,7 @@ def random_concept(
     picked = stream(seed, name).choice(len(store), size=size, replace=False).tolist()
     picked.sort(key=store.vocabulary.__getitem__)  # in_vocab is in word order
     words = tuple(store.vocabulary[i] for i in picked)
-    concept = Concept(name=name, words=frozenset(words), source="random sample")
+    concept = Concept(name=name, words=frozenset(words))
     return ResolvedConcept(
         concept=concept, embedding_name=store.name, in_vocab=words, dropped=(),
         rows=np.array(picked, dtype=np.intp),

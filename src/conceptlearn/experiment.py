@@ -1,15 +1,14 @@
 """Monte-Carlo orchestration: repeated split/train/test runs per concept,
 random-list null distributions, and empirical p-values.
 
-Iterations and null lists are independent tasks seeded from the master seed,
-so results are identical whatever the worker count; aggregation is keyed by
-task index. Iterations of a small concept are trained in stacks
-(`perceptron.train_many`), bitwise equal to training them one by one.
+A concept's iterations are trained in stacks (`perceptron.train_many`, bitwise
+equal to one-by-one training) sized by the concept and embedding alone. Each
+stack and each null list is a task seeded from the master seed, so tasks and
+results are identical whatever the worker count; aggregation is keyed by task.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import warnings
@@ -73,37 +72,37 @@ def run_iteration(
     return _run_fits(store, resolved, cfg, [index])[0]
 
 
-def _run_fits(
-    store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, indices
-) -> list[MetricsRecord]:
-    """Split, train and score the fits of `indices`, in stacks of
-    `stack_size`. A stack that fails is trained again one fit at a time from
-    the same splits, so the error raised is the serial one."""
+def _stacks(store: EmbeddingStore, resolved: ResolvedConcept, iterations: int):
+    """A concept's iterations as training stacks, range(0, k), range(k, 2k),
+    ..., with k = `stack_size`: the one grouping at every worker count."""
     k = stack_size(2 * train_positives(resolved.size), store.dimension)
+    return [range(i, min(i + k, iterations)) for i in range(0, iterations, k)]
+
+
+def _run_fits(
+    store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, stack
+) -> list[MetricsRecord]:
+    """Split, train and score the fits of one stack of iterations. A stack
+    that fails is trained again one fit at a time from the same splits, so
+    the error raised is the serial one."""
+    splits = [make_split(resolved, store, i, cfg.master_seed) for i in stack]
+    models = None
+    if len(splits) > 1:
+        try:
+            models = train_many(splits, store, cfg.train)
+        except (FloatingPointError, ValueError):
+            pass  # retrained one at a time below
     records = []
-    for start in range(0, len(indices), k):
-        splits = [
-            make_split(resolved, store, i, cfg.master_seed)
-            for i in indices[start : start + k]
-        ]
-        models = None
-        if len(splits) > 1:
-            try:
-                models = train_many(splits, store, cfg.train)
-            except (FloatingPointError, ValueError):
-                pass  # retrained one at a time below
-        for j, split in enumerate(splits):
-            try:
-                model = train(split, store, cfg.train) if models is None else models[j]
-                scores = score(model, store, split.test_rows)
-                records.append(
-                    evaluate_scores(scores, split.test_labels(), cfg.threshold)
-                )
-            except Exception as exc:
-                raise RuntimeError(
-                    f"iteration {split.iteration_index} of concept "
-                    f"{resolved.concept.name!r} failed: {exc}"
-                ) from exc
+    for j, split in enumerate(splits):
+        try:
+            model = train(split, store, cfg.train) if models is None else models[j]
+            scores = score(model, store, split.test_rows)
+            records.append(evaluate_scores(scores, split.test_labels(), cfg.threshold))
+        except Exception as exc:
+            raise RuntimeError(
+                f"iteration {split.iteration_index} of concept "
+                f"{resolved.concept.name!r} failed: {exc}"
+            ) from exc
     return records
 
 
@@ -113,15 +112,17 @@ _WORK: list = []
 
 
 def _run_task(task: tuple, work=None):
-    """("iter", c, iterations) -> those iterations' records of concept c;
-    ("null", k) -> the metric means of random list k."""
+    """("iter", c, stack) -> that stack's records of concept c; ("null",
+    k) -> the metric means of random list k, trained stack by stack."""
     store, concepts, cfg = work or _WORK[0]
     if task[0] == "iter":
         return _run_fits(store, concepts[task[1]], cfg, task[2])
     rc = random_concept(
         store, cfg.random_list_size, seed=cfg.master_seed, name=f"random-{task[1]:04d}"
     )
-    return _aggregate(rc, _run_fits(store, rc, cfg, range(cfg.iterations))).means
+    records = [r for stack in _stacks(store, rc, cfg.iterations)
+               for r in _run_fits(store, rc, cfg, stack)]
+    return _aggregate(rc, records).means
 
 
 def default_workers() -> int:
@@ -135,20 +136,19 @@ def default_workers() -> int:
 def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
                   null: bool = False, workers: int = 1):
     """Run `concepts` (ResolvedConcepts) and, with `null`, the null on one
-    store as one list of keyed tasks, ("iter", c, iterations) and ("null",
-    k), on one fork pool of at most one worker per task, or in order on one
-    worker. Returns the AggregateResults and NullDistribution (None without
-    `null`), keyed by task and read in task order: neither the order nor the
-    cut of the tasks changes a number or an error. A random list too large
-    for the store raises before any fit."""
+    store as one list of keyed tasks, ("iter", c, stack) per training stack
+    of concept c and ("null", k) per random list, the same at any worker
+    count, on one fork pool of at most one worker per task, or in order on
+    one worker. Returns the AggregateResults and NullDistribution (None
+    without `null`), keyed by task. An oversize random list raises before
+    any fit."""
     if null:
         check_vocabulary_size(cfg.random_list_size, len(store))
     if cfg.normalize:
         store = normalize(store)
     work = (store, concepts, cfg)
-    n, share = cfg.iterations, math.ceil(cfg.iterations / max(1, workers))
-    cuts = [range(i, min(i + share, n)) for i in range(0, n, share)]
-    tasks = [("iter", c, cut) for c in range(len(concepts)) for cut in cuts]
+    stacks = [_stacks(store, rc, cfg.iterations) for rc in concepts]
+    tasks = [("iter", c, stack) for c, cs in enumerate(stacks) for stack in cs]
     tasks += [("null", k) for k in range(cfg.random_list_count if null else 0)]
     workers = min(workers, len(tasks))
     if workers > 1 and "fork" not in mp.get_all_start_methods():
@@ -166,7 +166,7 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
         outputs = [_run_task(task, work) for task in tasks]
     done = dict(zip(tasks, outputs))
     aggregates = [
-        _aggregate(rc, [r for cut in cuts for r in done["iter", c, cut]])
+        _aggregate(rc, [r for stack in stacks[c] for r in done["iter", c, stack]])
         for c, rc in enumerate(concepts)
     ]
     if not null:

@@ -25,6 +25,7 @@ from conceptlearn import (
     wilcoxon_signed_rank,
 )
 from conceptlearn.cli import compare_outcome, main
+from conceptlearn.experiment import default_workers
 from conceptlearn.report import compare_report_text
 from conceptlearn.stats import (
     PUBLISHED_COMPARISON_LISTS,
@@ -48,7 +49,7 @@ def test_criterion_1_random_embedding_baseline():
     worst = (None, None, 0.5)
     for size in TABLE_SIZES:
         rc = random_concept(store, size, seed=size, name=f"size{size}")
-        agg = run_concept(store, rc, cfg)
+        agg = run_concept(store, rc, cfg, workers=default_workers())
         for name, mean in agg.means.items():
             if abs(mean - 0.5) > abs(worst[2] - 0.5):
                 worst = (size, name, mean)

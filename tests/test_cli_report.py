@@ -21,7 +21,7 @@ from conceptlearn import (
     run_null,
 )
 from conceptlearn import report
-from conceptlearn.cli import compare_outcome, load_manifest, main
+from conceptlearn.cli import build_parser, compare_outcome, load_manifest, main
 from conceptlearn.stats import (
     PUBLISHED_FASTTEXT_AUCS,
     PUBLISHED_GLOVE_AUCS,
@@ -55,6 +55,15 @@ def quick_args(out):
         "--seed", "3", "--iterations", "4", "--random-lists", "3",
         "--random-list-size", "6", "--workers", "1", "--out", str(out),
     ]
+
+
+@pytest.mark.parametrize("names", [["eval"], ["null"], ["compare", "gauss", "gauss"]])
+def test_a_command_without_flags_runs_the_default_config(workspace, names):
+    from conceptlearn import cli
+
+    _, manifest = workspace
+    args = build_parser().parse_args([names[0], str(manifest), *names[1:]])
+    assert cli._command_inputs(args)[1] == ExperimentConfig()
 
 
 def test_manifest_parsing(workspace):
@@ -239,11 +248,16 @@ def two_embeddings(workspace):
 def test_one_pool_per_loaded_embedding_and_the_same_reports_at_any_worker_count(
     two_embeddings, tmp_path, monkeypatch, command, loads
 ):
-    """Concepts and null lists of an embedding share one worker pool, and
-    the reports do not depend on the worker count."""
+    """Concepts and null lists of an embedding share one worker pool, no
+    larger than its task list, and the reports do not depend on the worker
+    count."""
     from concurrent.futures import ProcessPoolExecutor
 
     from conceptlearn import experiment
+
+    # tasks per embedding: one training stack per concept (the 4 iterations
+    # of a 10- or 8-word list stack together at d <= 6), one per null list
+    tasks = {"eval": 2 + 3, "null": 3, "compare": 2}[command]
 
     pools = []
 
@@ -260,7 +274,7 @@ def test_one_pool_per_loaded_embedding_and_the_same_reports_at_any_worker_count(
         out = tmp_path / f"w{workers}"
         argv = [command, str(two_embeddings), *names] + quick_args(out)
         assert main(argv + ["--workers", str(workers)]) == 0
-        assert pools == ([] if workers == 1 else [workers] * loads)
+        assert pools == ([] if workers == 1 else [min(workers, tasks)] * loads)
         reports[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert reports[1] and reports[2] == reports[1] and reports[3] == reports[1]
 

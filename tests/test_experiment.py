@@ -117,7 +117,8 @@ def test_run_concept_failed_fit_raises_the_serial_error(
         for workers in (1, 2):
             with pytest.raises(RuntimeError) as stacked:
                 with monkeypatch.context() as m:
-                    m.setattr(experiment, "make_split", spy)
+                    if workers == 1:
+                        m.setattr(experiment, "make_split", spy)
                     run_concept(store, rc, cfg, workers=workers)
             assert str(stacked.value) == str(serial.value)
     assert str(serial.value) == f"iteration {index} of concept 'c10' failed: {message}"
@@ -304,3 +305,34 @@ def test_the_pool_is_no_larger_than_its_task_list(gaussian_store, monkeypatch):
         assert run_null(gaussian_store, cfg, workers=8).per_list == serial.per_list
     # one list runs in this process; three lists fork three workers, not 8
     assert InlinePool.sizes == [3]
+
+
+def test_the_training_stacks_are_the_same_at_any_worker_count(monkeypatch):
+    """A 54-word list at d = 300 trains its 25 iterations as stacks of 16
+    and 9 (`stack_size`), whatever the worker count."""
+    from conceptlearn import experiment
+
+    store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
+    rc = random_concept(store, 54, seed=5, name="c54")
+    cfg = quick_cfg(iterations=25)
+    calls = []
+
+    def spy_many(splits, *args, _fn=experiment.train_many):
+        calls.append([s.iteration_index for s in splits])
+        return _fn(splits, *args)
+
+    def spy_one(split, *args, _fn=experiment.train):
+        calls.append([split.iteration_index])
+        return _fn(split, *args)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiment, "_WORK", [])
+    monkeypatch.setattr(experiment, "train_many", spy_many)
+    monkeypatch.setattr(experiment, "train", spy_one)
+    stacks = {}
+    for workers in (1, 2, 3):
+        calls.clear()
+        run_concept(store, rc, cfg, workers=workers)
+        stacks[workers] = list(calls)
+    assert stacks[1] == [list(range(16)), list(range(16, 25))]
+    assert stacks[2] == stacks[1] and stacks[3] == stacks[1]
