@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +17,34 @@ from conceptlearn import (
     run_null,
 )
 from conftest import normalized_copy
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The size of each process pool `run_embedding` starts; the pools
+    still fork."""
+    from conceptlearn import experiment
+
+    sizes = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            sizes.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    return sizes
+
+
+def run_twice(store, rc, cfg, workers):
+    """The records of concept `rc` run twice as two concepts of one task
+    list: at d = 8 a small concept is one stack, so one task, and it takes
+    two for 2 workers to fork a pool."""
+    from conceptlearn import experiment
+
+    first, second = experiment.run_embedding(store, cfg, [rc, rc], workers=workers)[0]
+    assert first.records == second.records
+    return first.records
 
 
 def quick_cfg(**kw):
@@ -52,24 +81,28 @@ def test_aggregate_shape(gaussian_store):
         assert 0.0 <= v <= 1.0
 
 
-def test_run_concept_worker_independence(gaussian_store):
-    cfg = quick_cfg(iterations=8)
-    rc = random_concept(gaussian_store, 10, seed=2, name="c10")
-    serial = run_concept(gaussian_store, rc, cfg, workers=1)
-    parallel = run_concept(gaussian_store, rc, cfg, workers=4)
+def test_run_concept_worker_independence(pools):
+    # d = 300: the 54-word concept's 50 iterations are stacks of 16, 16, 16, 2
+    store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
+    cfg = quick_cfg(iterations=50)
+    rc = random_concept(store, 54, seed=2, name="c54")
+    serial = run_concept(store, rc, cfg, workers=1)
+    parallel = run_concept(store, rc, cfg, workers=4)
+    assert pools == [4]  # one stack per worker
     assert serial.records == parallel.records
     assert serial.means == parallel.means
 
 
-def test_run_concept_stacked_records_equal_serial_iterations(gaussian_store):
+def test_run_concept_stacked_records_equal_serial_iterations(gaussian_store, pools):
     # d = 8: every iteration of a concept this small shares one stack
     rc = random_concept(gaussian_store, 14, seed=6, name="c14")
     halving = TrainConfig(learning_rate=50, early_stop_tol=1e-3)
     for cfg in (quick_cfg(iterations=11), quick_cfg(iterations=11, train=halving)):
         serial = tuple(run_iteration(gaussian_store, rc, cfg, i) for i in range(11))
+        assert run_concept(gaussian_store, rc, cfg).records == serial
         for workers in (1, 2):
-            agg = run_concept(gaussian_store, rc, cfg, workers=workers)
-            assert agg.records == serial
+            assert run_twice(gaussian_store, rc, cfg, workers) == serial
+    assert pools == [2, 2]  # the stack trains in a forked worker too
 
 
 LOSS_ERROR = "non-finite training loss at epoch 1 (learning rate 0.1)"
@@ -91,7 +124,7 @@ LOSS_ERROR = "non-finite training loss at epoch 1 (learning rate 0.1)"
     ],
 )
 def test_run_concept_failed_fit_raises_the_serial_error(
-    gaussian_store, monkeypatch, scale, train_cfg, message, row, index
+    gaussian_store, monkeypatch, pools, scale, train_cfg, message, row, index
 ):
     from conceptlearn import experiment
 
@@ -114,15 +147,19 @@ def test_run_concept_failed_fit_raises_the_serial_error(
             run_iteration(store, rc, cfg, i)
         with pytest.raises(RuntimeError) as serial:
             run_iteration(store, rc, cfg, index)
-        for workers in (1, 2):
-            with pytest.raises(RuntimeError) as stacked:
-                with monkeypatch.context() as m:
-                    if workers == 1:
-                        m.setattr(experiment, "make_split", spy)
-                    run_concept(store, rc, cfg, workers=workers)
-            assert str(stacked.value) == str(serial.value)
+        with pytest.raises(RuntimeError) as stacked:
+            with monkeypatch.context() as m:
+                m.setattr(experiment, "make_split", spy)
+                run_concept(store, rc, cfg)
+        assert str(stacked.value) == str(serial.value)
+        # the six iterations are one stack: two concepts fork two workers,
+        # and the error comes back from one of them
+        with pytest.raises(RuntimeError) as forked:
+            run_twice(store, rc, cfg, workers=2)
+        assert str(forked.value) == str(serial.value)
+    assert pools == [2]
     assert str(serial.value) == f"iteration {index} of concept 'c10' failed: {message}"
-    assert splits == list(range(cfg.iterations))  # one draw per fit, at 1 worker
+    assert splits == list(range(cfg.iterations))  # one draw per fit
 
 
 def test_run_concept_normalize_flag(gaussian_store):
@@ -135,7 +172,7 @@ def test_run_concept_normalize_flag(gaussian_store):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("dim, size", [(8, 10), (300, 120)])  # stacked, serial fits
-def test_normalize_on_gather_matches_the_normalized_copy(dtype, dim, size):
+def test_normalize_on_gather_matches_the_normalized_copy(pools, dtype, dim, size):
     rng = np.random.default_rng(11)
     store = EmbeddingStore(
         name="g", dimension=dim, vocabulary=tuple(f"w{i}" for i in range(400)),
@@ -145,9 +182,8 @@ def test_normalize_on_gather_matches_the_normalized_copy(dtype, dim, size):
     rc = random_concept(store, size, seed=3, name="c")
     copy = normalized_copy(store)
     for workers in (1, 2):
-        assert run_concept(store, rc, cfg, workers).records == run_concept(
-            copy, rc, cfg, workers
-        ).records
+        assert run_twice(store, rc, cfg, workers) == run_twice(copy, rc, cfg, workers)
+    assert pools == [2, 2]
     assert run_null(store, cfg).per_list == run_null(copy, cfg).per_list
 
 
