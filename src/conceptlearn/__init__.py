@@ -16,7 +16,6 @@ from .embeddings import (
     EmbeddingSourceSpec,
     EmbeddingStore,
     load_embedding,
-    load_embedding_dtype,
     normalize,
     random_gaussian_embedding,
     save_embedding,
@@ -74,7 +73,6 @@ __all__ = [
     "format_p_value",
     "load_concept",
     "load_embedding",
-    "load_embedding_dtype",
     "loss_and_gradient",
     "make_split",
     "normalize",

@@ -117,6 +117,16 @@ def _make_outdir(path: str) -> None:
         raise InputError(f"--out {path}: {exc.strerror}") from None
 
 
+def _check_out_file(path: str) -> None:
+    """Refuse, before any load or draw, an output file that is a directory
+    or whose parent is not one."""
+    if os.path.isdir(path):
+        raise InputError(f"{path}: Is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise InputError(f"{path}: no directory {parent}")
+
+
 def _prepare(spec: EmbeddingSourceSpec, cfg, concepts=(), null: bool = True):
     """Load an embedding through the vector-file cache, normalized as asked,
     resolve `concepts` (read once per command, before the first load)
@@ -236,6 +246,7 @@ def _read_lines(path: str) -> list[str]:
 
 
 def cmd_gen_random_embedding(args) -> int:
+    _check_out_file(args.out_file)
     if args.vocab:
         lines = _read_lines(args.vocab)
         for lineno, line in enumerate(lines, start=1):
@@ -256,6 +267,8 @@ def cmd_gen_random_embedding(args) -> int:
 
 
 def cmd_expand_wildcards(args) -> int:
+    if args.out_file:
+        _check_out_file(args.out_file)
     spec = EmbeddingSourceSpec(path=args.embedding_file, lowercase=True)
     store = load_cached(spec)
     entries = [

@@ -53,23 +53,10 @@ def stream(seed: int, *names: str, spawn_key=()) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EmbeddingSourceSpec:
-    """Where and how to read a vector file.
-
-    format: "plain" (every line is a record), "header" (skip a first
-    `vocab_count dimension` line) or None to sniff: a first line with exactly
-    two integer tokens is treated as a header.
-    """
+    """Where to read a vector file, and whether to lowercase its words."""
 
     path: str
-    format: str | None = None
     lowercase: bool = False
-    max_words: int | None = None
-
-    def __post_init__(self):
-        if self.format not in (None, "plain", "header"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.max_words is not None and self.max_words < 1:
-            raise ValueError("max_words must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -140,24 +127,19 @@ def _looks_like_header(line: str) -> bool:
 def load_embedding(spec: EmbeddingSourceSpec) -> EmbeddingStore:
     """Parse a `word v1 ... vd` text file into an EmbeddingStore.
 
-    The file is UTF-8, with or without a byte-order mark; any whitespace
-    separates tokens and blank lines are skipped. The dimension is fixed by
-    the first data line; later lines with a different count raise
-    EmbeddingParseError naming the 1-based line number, as do non-numeric
-    tokens, bytes that are not UTF-8 and non-finite values (nan, inf, or
-    beyond the storage dtype's range). Lines after the `max_words`-th
-    record are not read as data, so they are not checked.
+    The file is UTF-8, with or without a byte-order mark; a first line of
+    exactly two integer tokens is a `vocab_count dimension` header and is
+    skipped. Any whitespace separates tokens and blank lines are skipped.
+    The dimension is fixed by the first data line; later lines with a
+    different count raise EmbeddingParseError naming the 1-based line
+    number, as do non-numeric tokens, bytes that are not UTF-8 and
+    non-finite values (nan, inf, or beyond float32's range).
     Duplicate words keep the first occurrence and bump `skipped_duplicates`.
-    Values are parsed as float64 and stored as float32 unless `dtype` says
-    otherwise (see `load_embedding_dtype`), straight into the one matrix
-    the store keeps: a load peaks at that matrix plus a few blocks of text.
+    Values are parsed as float64 and stored as float32, straight into the
+    one matrix the store keeps: a load peaks at that matrix plus a few
+    blocks of text.
     """
-    return _load(spec, np.float32)
-
-
-def load_embedding_dtype(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
-    """load_embedding with an explicit storage dtype (float32 or float64)."""
-    return _load(spec, np.dtype(dtype))
+    return _load(spec)
 
 
 def cache_root() -> str:
@@ -173,19 +155,16 @@ def load_cached(spec: EmbeddingSourceSpec) -> EmbeddingStore:
     """`load_embedding` that parses each vector file once.
 
     An entry is keyed by the sha256 of the file's bytes together with the
-    spec's `lowercase`, `max_words` and `format`, the float32 dtype and
-    CACHE_VERSION, so any change to the content misses, whatever its size or
-    mtime. A hit maps the matrix read-only from its `.npy` file (forked
-    workers share its pages) and reads the words and `skipped_duplicates`
-    from a word file; the store still checks the matrix. A miss parses the
-    file and then writes its entry, replacing the entry the same path had
-    before. A parse error writes nothing. A cache that cannot be read or
-    written costs one line on stderr and an uncached load; it never fails
-    the load.
+    spec's `lowercase` and CACHE_VERSION, so any change to the content
+    misses, whatever its size or mtime. A hit maps the matrix read-only from
+    its `.npy` file (forked workers share its pages) and reads the words and
+    `skipped_duplicates` from a word file; the store still checks the
+    matrix. A miss parses the file and then writes its entry, replacing the
+    entry the same path had before. A parse error writes nothing. A cache
+    that cannot be read or written costs one line on stderr and an uncached
+    load; it never fails the load.
     """
-    h = hashlib.sha256(json.dumps(
-        [CACHE_VERSION, spec.lowercase, spec.max_words, spec.format, "float32"]
-    ).encode())
+    h = hashlib.sha256(json.dumps([CACHE_VERSION, spec.lowercase]).encode())
     with open(spec.path, "rb") as fh:
         while block := fh.read(BLOCK_BYTES):
             h.update(block)
@@ -213,7 +192,7 @@ def load_cached(spec: EmbeddingSourceSpec) -> EmbeddingStore:
         except (OSError, EOFError, ValueError, KeyError) as exc:
             _cache_warning(f"cache entry {npy} is unreadable ({exc}); parsing "
                            f"{spec.path} again")
-    store = _load(spec, np.float32)
+    store = _load(spec)
     try:
         os.makedirs(entry, exist_ok=True)
         meta = {"skipped_duplicates": store.skipped_duplicates,
@@ -251,7 +230,7 @@ def _cache_warning(message: str) -> None:
     print(f"warning: vector cache: {message}", file=sys.stderr)
 
 
-def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
+def _load(spec: EmbeddingSourceSpec) -> EmbeddingStore:
     # Lines are read about BLOCK_BYTES at a time. Python splits off and
     # bookkeeps the words; one np.loadtxt call parses a block's numbers, and
     # its kept rows go straight into one matrix, sized from the file with a
@@ -263,29 +242,15 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
     mat = None
     skipped = 0
     dim = None
-    fmt = spec.format
     lineno = records = chars = 0
-    full = False
-    # undecodable bytes decode to lone surrogates, so a line is checked only
-    # when it is used: lines past `max_words` may hold anything
-    with open(spec.path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with open_utf8(spec.path, EmbeddingParseError) as fh:
         size = os.fstat(fh.fileno()).st_size
-        while not full and (lines := fh.readlines(BLOCK_BYTES)):
+        while lines := fh.readlines(BLOCK_BYTES):
             linenos, rests, keep = [], [], []
             for line in lines:
                 lineno += 1
-                if not line.isascii():
-                    try:
-                        line.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise EmbeddingParseError(
-                            f"{spec.path}:{lineno}: not valid UTF-8"
-                        ) from None
-                if lineno == 1:
-                    if fmt is None:
-                        fmt = "header" if _looks_like_header(line) else "plain"
-                    if fmt == "header":
-                        continue
+                if lineno == 1 and _looks_like_header(line):
+                    continue
                 parts = line.split(None, 1)
                 if not parts:
                     continue
@@ -299,24 +264,28 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
                 keep.append(True)
                 seen[word] = len(words)
                 words.append(word)
-                if len(words) == spec.max_words:
-                    full = True
-                    break
             chars += sum(map(len, lines))
             records += len(rests)
             if not rests:
                 continue
-            values = _parse_block(spec.path, rests, linenos, dim)
+            try:
+                values = _parse_block(spec.path, rests, linenos, dim)
+            except EmbeddingParseError:
+                # decode the rest: bytes that are not UTF-8 are reported
+                # first, wherever they are and whatever the block size
+                while fh.read(BLOCK_BYTES):
+                    pass
+                raise
             dim = values.shape[1]
             linenos = np.array(linenos)
             if not all(keep):
                 values, linenos = values[keep], linenos[keep]
             if mat is None:
-                rows = _rows_estimate(spec, size, records, chars, len(words))
-                mat = np.empty((rows, dim), dtype)
+                rows = _rows_estimate(size, records, chars, len(words))
+                mat = np.empty((rows, dim), np.float32)
             elif len(words) > len(mat):
                 at_least = max(len(words), len(mat) + len(mat) // 8)
-                rows = _rows_estimate(spec, size, records, chars, at_least)
+                rows = _rows_estimate(size, records, chars, at_least)
                 mat.resize((rows, dim), refcheck=False)
             with np.errstate(over="ignore"):
                 mat[len(words) - len(values) : len(words)] = values
@@ -335,26 +304,24 @@ def _load(spec: EmbeddingSourceSpec, dtype) -> EmbeddingStore:
         )
     except _NonFiniteRow as exc:
         # the store checks its matrix once, after the cast, so values that
-        # overflow the storage dtype (1e39 as float32) are caught with nan,
-        # inf and 1e999
+        # overflow float32 (1e39) are caught with nan, inf and 1e999
         raise EmbeddingParseError(
             f"{spec.path}:{np.concatenate(kept_linenos)[exc.row]}: "
             "non-finite vector component"
         ) from None
 
 
-def _rows_estimate(spec, size: int, records: int, chars: int, at_least: int) -> int:
+def _rows_estimate(size: int, records: int, chars: int, at_least: int) -> int:
     """Matrix rows for a file of `size` bytes: its records at the mean
     length of the `records` read so far in `chars` characters plus 1/64,
-    no fewer than `at_least` and no more than `max_words`. The margin
+    no fewer than `at_least`. The margin
     absorbs the drift of line lengths through a file, so a file of evenly
     long lines is not grown: a grow may move the matrix to a new
     allocation, and whether it does depends on the allocator's state, so
     peak memory would depend on the last digits of the estimate. Rows past
     the last record are never written, so they take address space only."""
     estimate = records * size // chars
-    rows = max(at_least, estimate + estimate // 64)
-    return rows if spec.max_words is None else min(rows, spec.max_words)
+    return max(at_least, estimate + estimate // 64)
 
 
 def _parse_block(
@@ -428,15 +395,13 @@ def not_utf8(path: str) -> str:
     return f"{path}: not valid UTF-8"
 
 
-def save_embedding(store: EmbeddingStore, path: str, header: bool = False) -> None:
+def save_embedding(store: EmbeddingStore, path: str) -> None:
     """Write the store's rows as `gather` reads them (unit rows for a
     normalized store) to a text vector file, 12 significant digits."""
     # per-row tolist() gives the digits of per-value formatting without a
     # whole-matrix list of Python floats in memory
     fmt = " ".join(["%.12g"] * store.dimension)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(store)} {store.dimension}\n")
         for start, chunk in _row_chunks(store.vectors):
             stop = start + len(chunk)
             rows = store.gather(slice(start, stop))

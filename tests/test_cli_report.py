@@ -597,6 +597,25 @@ def test_expand_wildcards_command(tmp_path):
     assert out.read_text().splitlines() == ["happier", "happy", "sad"]
 
 
+@pytest.mark.parametrize("target", ["", "missing/out.txt", "file.txt/out.txt"])
+def test_expand_wildcards_checks_its_out_file_before_the_load(
+    tmp_path, monkeypatch, capsys, target
+):
+    from conceptlearn import cli
+
+    emb, lst = tmp_path / "e.txt", tmp_path / "l.txt"
+    emb.write_text("happy 1.0\nsad 3.0\n")
+    lst.write_text("happ*\n")
+    (tmp_path / "file.txt").write_text("")
+    loads = []
+    monkeypatch.setattr(cli, "load_cached", loads.append)
+    out = str(tmp_path / target)
+    reason = f"no directory {os.path.dirname(out)}" if target else "Is a directory"
+    assert main(["expand-wildcards", str(lst), str(emb), "--out", out]) == 1
+    assert loads == []
+    assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+
+
 def test_non_utf8_vector_file_is_input_error(tmp_path, capsys):
     emb = tmp_path / "e.txt"
     emb.write_bytes(b"happy 1.0\nsad 3.0\ncaf\xe9 2.0\n")
@@ -859,6 +878,22 @@ def test_gen_random_embedding_rejects_a_vocab_word_with_whitespace(tmp_path, cap
         f"error: {vocab}:2: word 'new york' contains whitespace\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["", "missing/g.txt", "file.txt/g.txt"])
+def test_gen_random_embedding_checks_its_out_file_before_the_draw(
+    tmp_path, monkeypatch, capsys, target
+):
+    from conceptlearn import cli
+
+    (tmp_path / "file.txt").write_text("")
+    draws = []
+    monkeypatch.setattr(cli, "random_gaussian_embedding", lambda *a, **k: draws.append(a))
+    out = str(tmp_path / target)
+    reason = f"no directory {os.path.dirname(out)}" if target else "Is a directory"
+    assert main(["gen-random-embedding", out, "--words", "30", "--dim", "4"]) == 1
+    assert draws == []
+    assert capsys.readouterr().err == f"error: {out}: {reason}\n"
 
 
 def test_gen_random_embedding_zero_words_is_input_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import codecs
 import os
 import tracemalloc
 
@@ -10,7 +11,6 @@ from conceptlearn import (
     EmbeddingSourceSpec,
     EmbeddingStore,
     load_embedding,
-    load_embedding_dtype,
     normalize,
     random_gaussian_embedding,
     save_embedding,
@@ -31,10 +31,8 @@ def test_header_file_autodetected(tmp_path, tiny_store):
     headered = tmp_path / "h.txt"
     headered.write_text("2 3\n" + tiny_store.read_text())
     sniffed = load_embedding(EmbeddingSourceSpec(path=str(headered)))
-    explicit = load_embedding(EmbeddingSourceSpec(path=str(headered), format="header"))
-    for store in (sniffed, explicit):
-        assert store.vocabulary == plain.vocabulary
-        assert np.array_equal(store.vectors, plain.vectors)
+    assert sniffed.vocabulary == plain.vocabulary
+    assert np.array_equal(sniffed.vectors, plain.vectors)
 
 
 def test_dimension_mismatch_names_line(tmp_path):
@@ -57,9 +55,6 @@ def test_non_finite_component_names_line(tmp_path, token):
     p.write_text(f"cat 1.0 2.0\n\ndog 3.0 4.0\nbird 1.0 {token}\nfish 5.0 6.0\n")
     with pytest.raises(EmbeddingParseError, match=r"bad\.txt:4: non-finite"):
         load_embedding(EmbeddingSourceSpec(path=str(p)))
-    if token == "1e39":  # beyond float32 only
-        store = load_embedding_dtype(EmbeddingSourceSpec(path=str(p)), np.float64)
-        assert store.lookup("bird")[1] == 1e39
 
 
 def test_empty_file(tmp_path):
@@ -78,11 +73,11 @@ def test_duplicates_keep_first_and_count(tmp_path):
     assert np.allclose(store.lookup("cat"), [1.0, 2.0])
 
 
-def test_lowercase_and_max_words(tmp_path):
+def test_lowercase(tmp_path):
     p = tmp_path / "v.txt"
-    p.write_text("Cat 1.0\ndog 2.0\nbird 3.0\n")
-    store = load_embedding(EmbeddingSourceSpec(path=str(p), lowercase=True, max_words=2))
-    assert store.vocabulary == ("cat", "dog")
+    p.write_text("Cat 1.0\ndog 2.0\nBIRD 3.0\n")
+    store = load_embedding(EmbeddingSourceSpec(path=str(p), lowercase=True))
+    assert store.vocabulary == ("cat", "dog", "bird")
 
 
 def test_vocabulary_keeps_file_order(tmp_path):
@@ -102,14 +97,15 @@ def test_round_trip(tmp_path):
     )
     out = tmp_path / "out.txt"
     save_embedding(store, str(out))
-    back = load_embedding_dtype(EmbeddingSourceSpec(path=str(out)), np.float64)
+    back = load_embedding(EmbeddingSourceSpec(path=str(out)))
     assert back.vocabulary == store.vocabulary
-    assert np.allclose(back.vectors, store.vectors, rtol=1e-11, atol=0)
+    assert back.vectors.dtype == np.float32
+    assert np.allclose(back.vectors, store.vectors, rtol=2.0**-24, atol=0)
 
 
-def _reference_text(store, header=False):
+def _reference_text(store):
     """Per-value f-string formatting that save_embedding must reproduce."""
-    lines = [f"{len(store)} {store.dimension}\n"] if header else []
+    lines = []
     for word, row in zip(store.vocabulary, store.vectors):
         lines.append(word + " " + " ".join(f"{v:.12g}" for v in row) + "\n")
     return "".join(lines)
@@ -134,13 +130,11 @@ def test_save_embedding_bytes_match_per_value_format(tmp_path):
         name="f64-rest", dimension=6, vocabulary=f64.vocabulary[1:], vectors=mat[1:]
     )
     for store, raw in ((f64, f64_rest), (f32, f32)):
-        for header in (False, True):
-            out = tmp_path / f"{store.name}-{header}.txt"
-            save_embedding(store, str(out), header=header)
-            assert out.read_text(encoding="utf-8") == _reference_text(store, header)
-            save_embedding(normalize(raw), str(out), header=header)
-            expected = _reference_text(normalized_copy(raw), header)
-            assert out.read_text(encoding="utf-8") == expected
+        out = tmp_path / f"{store.name}.txt"
+        save_embedding(store, str(out))
+        assert out.read_text(encoding="utf-8") == _reference_text(store)
+        save_embedding(normalize(raw), str(out))
+        assert out.read_text(encoding="utf-8") == _reference_text(normalized_copy(raw))
 
 
 def test_lookup_oov_returns_none(tiny_store):
@@ -288,53 +282,57 @@ def test_store_invariant_checks():
         )
 
 
-def _reference_load(spec, dtype):
-    """The per-line loader the block parser replaced, kept as its oracle."""
+def _reference_load(spec):
+    """The per-line loader the block parser replaced, kept as its oracle.
+
+    A file that is not UTF-8 fails as such, whatever else is wrong with it.
+    """
+    with open(spec.path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("utf-8")
+        lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise EmbeddingParseError(f"{spec.path}:{lineno}: not valid UTF-8") from None
     words, seen, rows, linenos = [], {}, [], []
     skipped = 0
     dim = None
-    fmt = spec.format
-    with open(spec.path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1:
-                if fmt is None:
-                    fmt = "header" if embeddings._looks_like_header(line) else "plain"
-                if fmt == "header":
-                    continue
-            if not line.strip():
-                continue
-            parts = line.split()
-            word, toks = parts[0], parts[1:]
-            if spec.lowercase:
-                word = word.lower()
-            try:
-                vec = np.array(toks, dtype=np.float64)
-            except ValueError:
-                raise EmbeddingParseError(
-                    f"{spec.path}:{lineno}: non-numeric vector component"
-                ) from None
-            if dim is None:
-                dim = len(vec)
-                if dim == 0:
-                    raise EmbeddingParseError(f"{spec.path}:{lineno}: no vector components")
-            elif len(vec) != dim:
-                raise EmbeddingParseError(
-                    f"{spec.path}:{lineno}: expected {dim} components, got {len(vec)}"
-                )
-            if word in seen:
-                skipped += 1
-                continue
-            seen[word] = len(words)
-            words.append(word)
-            rows.append(vec)
-            linenos.append(lineno)
-            if spec.max_words is not None and len(words) >= spec.max_words:
-                break
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == 1 and embeddings._looks_like_header(line):
+            continue
+        if not line.strip():
+            continue
+        parts = line.split()
+        word, toks = parts[0], parts[1:]
+        if spec.lowercase:
+            word = word.lower()
+        try:
+            vec = np.array(toks, dtype=np.float64)
+        except ValueError:
+            raise EmbeddingParseError(
+                f"{spec.path}:{lineno}: non-numeric vector component"
+            ) from None
+        if dim is None:
+            dim = len(vec)
+            if dim == 0:
+                raise EmbeddingParseError(f"{spec.path}:{lineno}: no vector components")
+        elif len(vec) != dim:
+            raise EmbeddingParseError(
+                f"{spec.path}:{lineno}: expected {dim} components, got {len(vec)}"
+            )
+        if word in seen:
+            skipped += 1
+            continue
+        seen[word] = len(words)
+        words.append(word)
+        rows.append(vec)
+        linenos.append(lineno)
     if not words:
         raise EmbeddingParseError(f"{spec.path}: no vector records found")
     with np.errstate(over="ignore"):
-        mat = np.asarray(rows, dtype=dtype)
+        mat = np.asarray(rows, dtype=np.float32)
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if bad.size:
         raise EmbeddingParseError(
@@ -352,8 +350,8 @@ def _outcome(load):
     return vocab, mat.dtype.str, mat.shape, mat.tobytes(), *rest
 
 
-def _block_load(spec, dtype):
-    store = load_embedding_dtype(spec, dtype)
+def _block_load(spec):
+    store = load_embedding(spec)
     assert store.index == {w: i for i, w in enumerate(store.vocabulary)}
     return store.vocabulary, store.vectors, store.skipped_duplicates
 
@@ -385,15 +383,12 @@ _ORACLE_CASES = {
     "non-finite-then-bad-token": ("a inf 1\n" + _LINES + "x 1 two\n", {}),
     "bad-token-on-duplicate": (_LINES + "w3 1 two\n", {}),
     "non-finite-on-duplicate": (_LINES + "w3 1 nan\nw4 1e39 1\n", {}),
-    "bad-line-after-max-words": (_LINES + "x 1 two\n", {"max_words": 8}),
-    "max-words-mid-block": (_LINES + "x 1 two\n", {"max_words": 3}),
-    "max-words-counts-kept-words": ("a 1\na 2\nb 3\nc zz\n", {"max_words": 2}),
     "duplicates-after-lowercase": ("Cat 1 2\ncat 3 4\nDOG 5 6\ndog 7 8\n", {"lowercase": True}),
     "case-kept": ("Cat 1 2\ncat 3 4\nDOG 5 6\ndog 7 8\n", {}),
     "header-sniffed": ("8 2\n" + _LINES, {}),
-    "header-explicit": ("8 2\n" + _LINES, {"format": "header"}),
-    "header-as-plain": ("8 2\n" + _LINES, {"format": "plain"}),
     "header-only": ("8 2\n", {}),
+    # a 1-dimensional record of an integer word and value is read as a header
+    "one-dim-integer-record-is-a-header": ("5 7\nw 1\nv 2\n", {}),
     "empty": ("", {}),
     "blank-lines": ("\n  \n" + _LINES.replace("\n", "\n\t\n"), {}),
     "crlf-trailing-space": (_LINES.replace("\n", " \t\r\n"), {}),
@@ -404,15 +399,14 @@ _ORACLE_CASES = {
     "underscore-digits": (_LINES + "x 1_0 2\n" + _LINES.replace("w", "v"), {}),
     "arabic-indic-digits": ("a ١٢ 1\n" + _LINES, {}),
     # the matrix is sized from the first block: long lines there make the
-    # estimate short, so it grows; a header, blank lines, duplicates and a
-    # max_words above the distinct words make it too high, so it is trimmed;
-    # first lines 1% longer than the mean stay within the estimate's margin
+    # estimate short, so it grows; a header, blank lines and duplicates make
+    # it too high, so it is trimmed; first lines 1% longer than the mean
+    # stay within the estimate's margin
     "estimate-short": (_LONG_LINE + "".join(f"s{i} {i} -{i}\n" for i in range(60)), {}),
     "estimate-margin": ("".join(
         (f"word{i:04d} " if i < 40 else f"w{i:04d} ") + _FORTY_VALUES for i in range(400)
     ), {}),
-    "estimate-high": ("30 2\n\n\n" + "a 1 2\nb 3 4\n" * 15, {"max_words": 5}),
-    "estimate-capped": (_LINES * 3, {"max_words": 5}),
+    "estimate-high": ("30 2\n\n\n" + "a 1 2\nb 3 4\n" * 15, {}),
 }
 
 
@@ -425,32 +419,24 @@ def test_block_parser_matches_line_loop(tmp_path, monkeypatch, case, block_bytes
     path.write_bytes(text.encode("utf-8"))
     spec = EmbeddingSourceSpec(path=str(path), **kw)
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
-    for dtype in (np.float32, np.float64):
-        assert _outcome(lambda: _block_load(spec, dtype)) == _outcome(
-            lambda: _reference_load(spec, dtype)
-        )
+    assert _outcome(lambda: _block_load(spec)) == _outcome(lambda: _reference_load(spec))
 
 
-def _block_list_load(spec, dtype):
+def _block_list_load(spec):
     """The loader before the preallocated matrix: a list of per-block
     arrays joined by np.concatenate, with one whole-matrix finite check.
     Kept as the oracle of the current loader."""
     words, seen, blocks, kept_linenos = [], {}, [], []
     skipped = 0
     dim = None
-    fmt = spec.format
     lineno = 0
-    full = False
     with embeddings.open_utf8(spec.path, EmbeddingParseError) as fh:
-        while not full and (lines := fh.readlines(embeddings.BLOCK_BYTES)):
+        while lines := fh.readlines(embeddings.BLOCK_BYTES):
             linenos, rests, keep = [], [], []
             for line in lines:
                 lineno += 1
-                if lineno == 1:
-                    if fmt is None:
-                        fmt = "header" if embeddings._looks_like_header(line) else "plain"
-                    if fmt == "header":
-                        continue
+                if lineno == 1 and embeddings._looks_like_header(line):
+                    continue
                 parts = line.split(None, 1)
                 if not parts:
                     continue
@@ -464,9 +450,6 @@ def _block_list_load(spec, dtype):
                 keep.append(True)
                 seen[word] = len(words)
                 words.append(word)
-                if len(words) == spec.max_words:
-                    full = True
-                    break
             if not rests:
                 continue
             values = embeddings._parse_block(spec.path, rests, linenos, dim)
@@ -475,7 +458,7 @@ def _block_list_load(spec, dtype):
             if not all(keep):
                 values, linenos = values[keep], linenos[keep]
             with np.errstate(over="ignore"):
-                blocks.append(values.astype(dtype, copy=False))
+                blocks.append(values.astype(np.float32))
             kept_linenos.append(linenos)
     if not words:
         raise EmbeddingParseError(f"{spec.path}: no vector records found")
@@ -489,8 +472,8 @@ def _block_list_load(spec, dtype):
     return tuple(words), mat, skipped, seen
 
 
-def _preallocated_load(spec, dtype):
-    store = load_embedding_dtype(spec, dtype)
+def _preallocated_load(spec):
+    store = load_embedding(spec)
     return store.vocabulary, store.vectors, store.skipped_duplicates, store.index
 
 
@@ -503,15 +486,14 @@ def test_preallocated_loader_matches_block_list(tmp_path, monkeypatch, case, blo
     path.write_bytes(text.encode("utf-8"))
     spec = EmbeddingSourceSpec(path=str(path), **kw)
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
-    for dtype in (np.float32, np.float64):
-        assert _outcome(lambda: _preallocated_load(spec, dtype)) == _outcome(
-            lambda: _block_list_load(spec, dtype)
-        )
+    assert _outcome(lambda: _preallocated_load(spec)) == _outcome(
+        lambda: _block_list_load(spec)
+    )
 
 
 @pytest.mark.parametrize("block_bytes", [1, 40])
 def test_sizing_cases_take_each_branch(tmp_path, monkeypatch, block_bytes):
-    """The estimate-* oracle files do grow, trim and cap the matrix, and a
+    """The estimate-* oracle files do grow and trim the matrix, and a
     slightly short bare estimate is covered by the margin, not grown."""
     estimate, estimates = embeddings._rows_estimate, []
 
@@ -522,7 +504,7 @@ def test_sizing_cases_take_each_branch(tmp_path, monkeypatch, block_bytes):
     monkeypatch.setattr(embeddings, "_rows_estimate", spy)
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
     first = {}
-    for case in ("estimate-short", "estimate-high", "estimate-capped", "estimate-margin"):
+    for case in ("estimate-short", "estimate-high", "estimate-margin"):
         text, kw = _ORACLE_CASES[case]
         path = tmp_path / f"{case}.txt"
         path.write_text(text)
@@ -531,19 +513,19 @@ def test_sizing_cases_take_each_branch(tmp_path, monkeypatch, block_bytes):
         first[case] = (estimates[0], len(estimates), rows)
     short_first, short_calls, short_rows = first["estimate-short"]
     assert short_first < short_rows and short_calls > 1  # grown in place
-    high_first, _, high_rows = first["estimate-high"]
-    assert high_first == 5 > high_rows == 2  # capped at max_words, then trimmed
-    assert first["estimate-capped"] == (5, 1, 5)
+    high_first, high_calls, high_rows = first["estimate-high"]
+    assert high_first > high_rows == 2 and high_calls == 1  # trimmed, never grown
     margin_first, margin_calls, margin_rows = first["estimate-margin"]
     assert margin_first * 64 // 65 < margin_rows == 400 <= margin_first
     assert margin_calls == 1
 
 
 def test_max_words_ignores_bytes_after_the_last_word(tmp_path):
+    """The loader no longer has a ``max_words`` cap that stopped before the
+    last line, so bytes after the last word a cap would have kept are
+    decoded too, and a non-UTF-8 byte there fails naming its line."""
     p = tmp_path / "tail.txt"
     p.write_bytes(b"a 1 2\nb 3 4\nc \xe9 5\n")
-    store = load_embedding(EmbeddingSourceSpec(path=str(p), max_words=2))
-    assert store.vocabulary == ("a", "b")
     with pytest.raises(EmbeddingParseError, match=r"tail\.txt:3: not valid UTF-8$"):
         load_embedding(EmbeddingSourceSpec(path=str(p)))
 
@@ -579,9 +561,7 @@ def test_block_parser_separators_match_line_loop(tmp_path, monkeypatch, sep):
     path.write_bytes((_LINES + "".join(lines)).encode("utf-8"))
     spec = EmbeddingSourceSpec(path=str(path))
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 40)
-    assert _outcome(lambda: _block_load(spec, np.float64)) == _outcome(
-        lambda: _reference_load(spec, np.float64)
-    )
+    assert _outcome(lambda: _block_load(spec)) == _outcome(lambda: _reference_load(spec))
 
 
 @pytest.mark.parametrize("header", ["", "2 3\n"])
@@ -662,9 +642,9 @@ def test_a_changed_file_misses_whatever_its_size_and_mtime(
     store = embeddings.load_cached(spec)
     assert store.lookup("dog")[0] == 3.0
     _same_store(store, load_embedding(spec))
-    # so do other load options, and the path keeps one entry: the latest
-    short = EmbeddingSourceSpec(path=str(vector_file), max_words=2)
-    assert embeddings.load_cached(short).vocabulary == ("Cat", "dog")
+    # so does lowercasing, and the path keeps one entry: the latest
+    lower = EmbeddingSourceSpec(path=str(vector_file), lowercase=True)
+    assert embeddings.load_cached(lower).vocabulary == ("cat", "dog", "emu")
     assert len(list(vector_cache.rglob("*"))) == 3  # its directory and 2 files
 
 
