@@ -239,16 +239,12 @@ def compare_outcome(aucs_a, aucs_b, alternative: str):
     return outcome, note
 
 
-def _read_lines(path: str) -> list[str]:
-    """Lines of a UTF-8 word list; a byte-order mark is dropped."""
-    with open_utf8(path, InputError) as fh:
-        return fh.readlines()
-
-
 def cmd_gen_random_embedding(args) -> int:
     _check_out_file(args.out_file)
     if args.vocab:
-        lines = _read_lines(args.vocab)
+        # not a word list: a `#` line is a word
+        with open_utf8(args.vocab, InputError) as fh:
+            lines = fh.readlines()
         for lineno, line in enumerate(lines, start=1):
             if len(line.split()) > 1:  # split as the vector-file loader splits
                 raise InputError(f"{args.vocab}:{lineno}: word {line.strip()!r} "
@@ -271,11 +267,7 @@ def cmd_expand_wildcards(args) -> int:
         _check_out_file(args.out_file)
     spec = EmbeddingSourceSpec(path=args.embedding_file, lowercase=True)
     store = load_cached(spec)
-    entries = [
-        line.strip() for line in _read_lines(args.list_file)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    expanded = expand_wildcards(entries, store.vocabulary)
+    expanded = expand_wildcards(args.list_file, store.vocabulary)
     if not expanded:
         raise InputError(f"{args.list_file}: expansion produced no words")
     out = "\n".join(expanded) + "\n"

@@ -73,54 +73,68 @@ class ResolvedConcept:
         return len(self.concept.words)
 
 
-def load_concept(path: str, name: str) -> Concept:
-    """Read a one-word-per-line UTF-8 list file (a byte-order mark is
-    dropped).
+def read_words(path: str) -> list[tuple[int, str]]:
+    """(line number, word) of each word of a word list: a UTF-8 file (a
+    byte-order mark is dropped) of one word per line.
 
-    Lines starting with `#` are comments; blank lines are skipped; words are
-    folded to lowercase and deduplicated. Stem wildcards like `happ*` are
-    rejected: expand them first (CLI `expand-wildcards` / expand_wildcards()).
+    Blank lines and lines starting with `#` are skipped and words are
+    folded to lowercase. A line holding more than one word raises
+    ConceptError naming its line, since no vector-file word holds
+    whitespace.
+    """
+    with open_utf8(path, ConceptError) as fh:
+        lines = fh.readlines()  # bytes that are not UTF-8 fail first
+    words = []
+    for lineno, line in enumerate(lines, start=1):
+        toks = line.split()  # split as the vector-file loader splits
+        if not toks or toks[0].startswith("#"):
+            continue
+        if len(toks) > 1:
+            raise ConceptError(
+                f"{path}:{lineno}: word {line.strip()!r} contains whitespace"
+            )
+        words.append((lineno, toks[0].lower()))
+    return words
+
+
+def load_concept(path: str, name: str) -> Concept:
+    """The concept of a word list (see `read_words`), deduplicated.
+
+    Stem wildcards like `happ*` are rejected: expand them first (CLI
+    `expand-wildcards` / expand_wildcards()).
     """
     words = set()
-    with open_utf8(path, ConceptError) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            if "*" in word:
-                raise ConceptError(
-                    f"{path}:{lineno}: wildcard entry {word!r}; expand it "
-                    "first with `conceptlearn expand-wildcards`"
-                )
-            words.add(word.lower())
+    for lineno, word in read_words(path):
+        if "*" in word:
+            raise ConceptError(
+                f"{path}:{lineno}: wildcard entry {word!r}; expand it "
+                "first with `conceptlearn expand-wildcards`"
+            )
+        words.add(word)
     if not words:
         raise ConceptError(f"{path}: empty word list")
     return Concept(name=name, words=frozenset(words))
 
 
-def expand_wildcards(entries, vocabulary) -> list[str]:
-    """Expand trailing-`*` stems by prefix match against a vocabulary.
+def expand_wildcards(path: str, vocabulary) -> list[str]:
+    """The words of a word list (see `read_words`), each trailing-`*` stem
+    expanded by prefix match against a vocabulary.
 
-    Plain entries pass through unchanged. Output is deduplicated and sorted.
+    Plain words pass through unchanged. Output is deduplicated and sorted.
     """
     vocab_sorted = sorted(vocabulary)
     out = set()
-    for entry in entries:
-        entry = entry.strip().lower()
-        if not entry:
+    for lineno, word in read_words(path):
+        stem = word.removesuffix("*")
+        if "*" in stem:
+            raise ConceptError(f"{path}:{lineno}: unsupported wildcard pattern {word!r}")
+        if stem == word:
+            out.add(word)
             continue
-        if entry.endswith("*"):
-            stem = entry[:-1]
-            if "*" in stem:
-                raise ConceptError(f"unsupported wildcard pattern {entry!r}")
-            i = bisect_left(vocab_sorted, stem)  # the stem's words follow it
-            while i < len(vocab_sorted) and vocab_sorted[i].startswith(stem):
-                out.add(vocab_sorted[i])
-                i += 1
-        elif "*" in entry:
-            raise ConceptError(f"unsupported wildcard pattern {entry!r}")
-        else:
-            out.add(entry)
+        i = bisect_left(vocab_sorted, stem)  # the stem's words follow it
+        while i < len(vocab_sorted) and vocab_sorted[i].startswith(stem):
+            out.add(vocab_sorted[i])
+            i += 1
     return sorted(out)
 
 

@@ -124,24 +124,6 @@ def _looks_like_header(line: str) -> bool:
     return True
 
 
-def load_embedding(spec: EmbeddingSourceSpec) -> EmbeddingStore:
-    """Parse a `word v1 ... vd` text file into an EmbeddingStore.
-
-    The file is UTF-8, with or without a byte-order mark; a first line of
-    exactly two integer tokens is a `vocab_count dimension` header and is
-    skipped. Any whitespace separates tokens and blank lines are skipped.
-    The dimension is fixed by the first data line; later lines with a
-    different count raise EmbeddingParseError naming the 1-based line
-    number, as do non-numeric tokens, bytes that are not UTF-8 and
-    non-finite values (nan, inf, or beyond float32's range).
-    Duplicate words keep the first occurrence and bump `skipped_duplicates`.
-    Values are parsed as float64 and stored as float32, straight into the
-    one matrix the store keeps: a load peaks at that matrix plus a few
-    blocks of text.
-    """
-    return _load(spec)
-
-
 def cache_root() -> str:
     """The directory of `load_cached`'s entries: `$XDG_CACHE_HOME/conceptlearn`,
     else `~/.cache/conceptlearn`."""
@@ -192,7 +174,7 @@ def load_cached(spec: EmbeddingSourceSpec) -> EmbeddingStore:
         except (OSError, EOFError, ValueError, KeyError) as exc:
             _cache_warning(f"cache entry {npy} is unreadable ({exc}); parsing "
                            f"{spec.path} again")
-    store = _load(spec)
+    store = load_embedding(spec)
     try:
         os.makedirs(entry, exist_ok=True)
         meta = {"skipped_duplicates": store.skipped_duplicates,
@@ -230,17 +212,29 @@ def _cache_warning(message: str) -> None:
     print(f"warning: vector cache: {message}", file=sys.stderr)
 
 
-def _load(spec: EmbeddingSourceSpec) -> EmbeddingStore:
+def load_embedding(spec: EmbeddingSourceSpec) -> EmbeddingStore:
+    """Parse a `word v1 ... vd` text file into an EmbeddingStore.
+
+    The file is UTF-8, with or without a byte-order mark; a first line of
+    exactly two integer tokens is a `vocab_count dimension` header and is
+    skipped. Any whitespace separates tokens and blank lines are skipped.
+    The dimension is fixed by the first data line; later lines with a
+    different count raise EmbeddingParseError naming the 1-based line
+    number, as do non-numeric tokens, bytes that are not UTF-8 and
+    non-finite values (nan, inf, or beyond float32's range).
+    Duplicate words keep the first occurrence and bump `skipped_duplicates`.
+    Values are parsed as float64 and stored as float32, straight into the
+    one matrix the store keeps: a load peaks at that matrix plus a few
+    blocks of text.
+    """
     # Lines are read about BLOCK_BYTES at a time. Python splits off and
     # bookkeeps the words; one np.loadtxt call parses a block's numbers, and
     # its kept rows go straight into one matrix, sized from the file with a
     # margin and trimmed in place, so the matrix is held once unless the
     # estimate falls short and a grow moves it (see _rows_estimate).
-    words: list[str] = []
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}  # the kept words, in file order, and their rows
     kept_linenos: list[np.ndarray] = []
     mat = None
-    skipped = 0
     dim = None
     lineno = records = chars = 0
     with open_utf8(spec.path, EmbeddingParseError) as fh:
@@ -257,13 +251,8 @@ def _load(spec: EmbeddingSourceSpec) -> EmbeddingStore:
                 word = parts[0].lower() if spec.lowercase else parts[0]
                 linenos.append(lineno)
                 rests.append(parts[1] if len(parts) > 1 else "")
-                if word in seen:
-                    skipped += 1
-                    keep.append(False)
-                    continue
-                keep.append(True)
-                seen[word] = len(words)
-                words.append(word)
+                keep.append(word not in seen)
+                seen.setdefault(word, len(seen))
             chars += sum(map(len, lines))
             records += len(rests)
             if not rests:
@@ -281,25 +270,25 @@ def _load(spec: EmbeddingSourceSpec) -> EmbeddingStore:
             if not all(keep):
                 values, linenos = values[keep], linenos[keep]
             if mat is None:
-                rows = _rows_estimate(size, records, chars, len(words))
+                rows = _rows_estimate(size, records, chars, len(seen))
                 mat = np.empty((rows, dim), np.float32)
-            elif len(words) > len(mat):
-                at_least = max(len(words), len(mat) + len(mat) // 8)
+            elif len(seen) > len(mat):
+                at_least = max(len(seen), len(mat) + len(mat) // 8)
                 rows = _rows_estimate(size, records, chars, at_least)
                 mat.resize((rows, dim), refcheck=False)
             with np.errstate(over="ignore"):
-                mat[len(words) - len(values) : len(words)] = values
+                mat[len(seen) - len(values) : len(seen)] = values
             kept_linenos.append(linenos)
-    if not words:
+    if not seen:
         raise EmbeddingParseError(f"{spec.path}: no vector records found")
-    mat.resize((len(words), dim), refcheck=False)
+    mat.resize((len(seen), dim), refcheck=False)
     try:
         return EmbeddingStore(
             name=spec.path,
             dimension=dim,
-            vocabulary=tuple(words),
+            vocabulary=tuple(seen),
             vectors=mat,
-            skipped_duplicates=skipped,
+            skipped_duplicates=records - len(seen),
             index=seen,
         )
     except _NonFiniteRow as exc:
@@ -369,30 +358,24 @@ def _parse_block(
 def open_utf8(path: str, error: type[Exception]):
     """Open a UTF-8 text file for reading, dropping a byte-order mark.
 
-    Bytes that do not decode raise `error` with the `not_utf8` message.
+    Bytes that do not decode raise `error`: `path:line: not valid UTF-8`,
+    the line counted as the failed read counts it.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
+        return
     except UnicodeDecodeError:
-        raise error(not_utf8(path)) from None
-
-
-def not_utf8(path: str) -> str:
-    """`path:line: not valid UTF-8` for a text file whose decoding failed.
-
-    Re-reads the file, so call it only on that error path. The line is
-    counted as the failed read counts it.
-    """
-    # surrogateescape turns each undecodable byte into a lone surrogate,
-    # which the utf-8 encoder refuses
+        pass
+    # read the file again: surrogateescape turns each undecodable byte into
+    # a lone surrogate, which the utf-8 encoder refuses
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
-                return f"{path}:{lineno}: not valid UTF-8"
-    return f"{path}: not valid UTF-8"
+                raise error(f"{path}:{lineno}: not valid UTF-8") from None
+    raise error(f"{path}: not valid UTF-8")
 
 
 def save_embedding(store: EmbeddingStore, path: str) -> None:

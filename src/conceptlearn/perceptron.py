@@ -108,6 +108,11 @@ def train(
 # matrix is small: then a fit is mostly numpy call overhead, which K models
 # share. A stack of STACK_BYTES stays in L2; above MAX_STACKED_FIT_BYTES per
 # model (n > 108 words at d = 300) stacked fits ran slower than serial ones.
+# The serial `train` keeps its own loop and loss: both one-fit alternatives
+# were bitwise equal but slower (at d = 300, `train_many` on one fit took
+# 1.26-1.55x as long for n = 232-908, and one loss written for both shapes
+# 1.09-1.17x as long per serial call), so a change to the loss must edit
+# both `loss_and_gradient` and `_stacked_loss_and_gradient`.
 MAX_STACKED_FIT_BYTES = 256 * 1024
 STACK_BYTES = 2 * 1024 * 1024
 

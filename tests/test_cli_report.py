@@ -616,6 +616,26 @@ def test_expand_wildcards_checks_its_out_file_before_the_load(
     assert capsys.readouterr().err == f"error: {out}: {reason}\n"
 
 
+def test_expand_wildcards_names_the_line_of_a_bad_pattern(tmp_path, capsys):
+    emb, lst = tmp_path / "e.txt", tmp_path / "l.txt"
+    emb.write_text("happy 1.0\nsad 3.0\n")
+    lst.write_text("happ*\na*b\n")
+    assert main(["expand-wildcards", str(lst), str(emb)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {lst}:2: unsupported wildcard pattern 'a*b'\n"
+    )
+
+
+def test_a_concept_line_of_two_words_fails_at_its_line(workspace, tmp_path, capsys):
+    ws, manifest = workspace
+    (ws / "ca.txt").write_text("w001 3\nw002\n")
+    assert main(["eval", str(manifest)] + quick_args(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ws / 'ca.txt'}:1: word 'w001 3' contains whitespace\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_utf8_vector_file_is_input_error(tmp_path, capsys):
     emb = tmp_path / "e.txt"
     emb.write_bytes(b"happy 1.0\nsad 3.0\ncaf\xe9 2.0\n")

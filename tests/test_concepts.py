@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from conftest import rows_of
 
 def write_list(tmp_path, text, name="list.txt"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -60,12 +61,61 @@ def test_load_concept_rejects_wildcards(tmp_path):
     assert "--expand-wildcards" not in str(err.value)
 
 
-def test_expand_wildcards():
+# words whose upper and title case fold back to them (not "straße")
+_LIST_WORDS = ["mom", "brother", "cousin", "café", "naïve", "日本", "w01", "x-ray",
+               "o'clock", "c#", "ångström"]
+_CASES = [str.lower, str.upper, str.title]
+_NOT_WORDS = ["", " \t", "#", "# a comment", "#café", "  # indented comment"]
+
+
+def _relaid_lines(rng, words):
+    """The lines of a list of `words`, each once to three times in a random
+    case with random surrounding whitespace, among `#` and blank lines, in
+    random order."""
+    lines = [
+        " " * rng.integers(2) + _CASES[rng.integers(3)](w) + "\t" * rng.integers(2)
+        for w in words for _ in range(rng.integers(1, 4))
+    ]
+    lines += [_NOT_WORDS[i] for i in rng.integers(len(_NOT_WORDS), size=rng.integers(6))]
+    return [lines[i] for i in rng.permutation(len(lines))]
+
+
+def _list_bytes(rng, lines):
+    """A file of `lines`: one line end of `\n`, `\r\n` or `\r`, an optional
+    final one and an optional byte-order mark."""
+    end = ["\n", "\r\n", "\r"][rng.integers(3)]
+    text = "\ufeff" * rng.integers(2) + end.join(lines) + end * rng.integers(2)
+    return text.encode("utf-8")
+
+
+def test_load_concept_does_not_depend_on_the_list_layout(tmp_path):
+    """Metamorphic: permuting, re-casing or duplicating a list's lines, or
+    adding `#` and blank lines, a byte-order mark or other line ends, loads
+    the same concept; a two-word line among them fails at its line."""
+    rng = np.random.default_rng(11)
+    path = tmp_path / "list.txt"
+    for _ in range(200):
+        words = [w for w in _LIST_WORDS if rng.random() < 0.6] or ["mom"]
+        lines = _relaid_lines(rng, words)
+        path.write_bytes(_list_bytes(rng, lines))
+        assert load_concept(str(path), "c") == Concept("c", frozenset(words))
+        at = int(rng.integers(len(lines) + 1))
+        lines.insert(at, " happy 3\t")
+        path.write_bytes(_list_bytes(rng, lines))
+        message = f"{path}:{at + 1}: word 'happy 3' contains whitespace"
+        with pytest.raises(ConceptError, match=f"^{re.escape(message)}$"):
+            load_concept(str(path), "c")
+
+
+def test_expand_wildcards(tmp_path):
     vocab = ["happy", "happier", "happiness", "sad", "hap"]
-    out = expand_wildcards(["happ*", "sad"], vocab)
+    out = expand_wildcards(write_list(tmp_path, "# stems\nHapp*\n\nsad\n"), vocab)
     assert out == ["happier", "happiness", "happy", "sad"]
-    with pytest.raises(ConceptError):
-        expand_wildcards(["ha*py"], vocab)
+    for pattern in ("ha*py", "**"):
+        path = write_list(tmp_path, f"sad\n{pattern}\n")
+        message = f"{path}:2: unsupported wildcard pattern '{pattern}'"
+        with pytest.raises(ConceptError, match=f"^{re.escape(message)}$"):
+            expand_wildcards(path, vocab)
 
 
 @pytest.mark.parametrize(
@@ -78,7 +128,7 @@ def test_expand_wildcards():
         ["x*", "sad"],  # no match, and a plain entry
     ],
 )
-def test_expand_wildcards_matches_a_scan_of_the_vocabulary(entries):
+def test_expand_wildcards_matches_a_scan_of_the_vocabulary(tmp_path, entries):
     vocab = ["happy", "happier", "happiness", "sad", "hap", "ha", "café", "cafe",
              "cafés", "über", "uber", "ü", "日本", "日", "zebra", "z", "été"]
     oracle = set()
@@ -87,8 +137,9 @@ def test_expand_wildcards_matches_a_scan_of_the_vocabulary(entries):
             oracle.update(w for w in vocab if w.startswith(entry[:-1]))
         else:
             oracle.add(entry)
-    assert expand_wildcards(entries, vocab) == sorted(oracle)
-    assert expand_wildcards(entries, reversed(vocab)) == sorted(oracle)
+    path = write_list(tmp_path, "".join(e + "\n" for e in entries))
+    assert expand_wildcards(path, vocab) == sorted(oracle)
+    assert expand_wildcards(path, reversed(vocab)) == sorted(oracle)
 
 
 def test_resolve_partitions(gaussian_store):

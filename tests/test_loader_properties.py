@@ -3,10 +3,25 @@ BLOCK_BYTES, `load_embedding` gives what the per-line oracle
 `_reference_load` gives: the same words, vector bytes and duplicate count,
 or the same `path:line:` error."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
+
+# To report a failing example, hypothesis's pytest plugin imports its patch
+# module, which imports libcst when that is installed; libcst then raises a
+# DeprecationWarning from mypy_extensions, which `-W error` turns into a
+# pytest INTERNALERROR that hides the example. Import it once here with
+# that one third-party warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", r"mypy_extensions\.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: the plugin skips the patch
+        pass
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
