@@ -138,10 +138,10 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
     """Run `concepts` (ResolvedConcepts) and, with `null`, the null on one
     store as one list of keyed tasks, ("iter", c, stack) per training stack
     of concept c and ("null", k) per random list, the same at any worker
-    count, on one fork pool of at most one worker per task, or in order on
-    one worker. Returns the AggregateResults and NullDistribution (None
-    without `null`), keyed by task. An oversize random list raises before
-    any fit."""
+    count, on one fork pool of at most one worker per task that hands out
+    one task at a time, or in order on one worker. Returns the
+    AggregateResults and NullDistribution (None without `null`), keyed by
+    task. An oversize random list raises before any fit."""
     if null:
         check_vocabulary_size(cfg.random_list_size, len(store))
     if cfg.normalize:
@@ -160,8 +160,7 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
             max_workers=workers, mp_context=mp.get_context("fork"),
             initializer=_WORK.append, initargs=(work,),
         ) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            outputs = list(pool.map(_run_task, tasks, chunksize=chunk))
+            outputs = list(pool.map(_run_task, tasks))
     else:
         outputs = [_run_task(task, work) for task in tasks]
     done = dict(zip(tasks, outputs))

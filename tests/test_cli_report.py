@@ -587,7 +587,7 @@ def test_gen_random_embedding_roundtrip(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_expand_wildcards_command(tmp_path):
+def test_expand_wildcards_command(tmp_path, capsys):
     emb = tmp_path / "e.txt"
     emb.write_text("happy 1.0\nhappier 2.0\nsad 3.0\n")
     lst = tmp_path / "l.txt"
@@ -595,6 +595,20 @@ def test_expand_wildcards_command(tmp_path):
     out = tmp_path / "expanded.txt"
     assert main(["expand-wildcards", str(lst), str(emb), "--out", str(out)]) == 0
     assert out.read_text().splitlines() == ["happier", "happy", "sad"]
+    # without --out the list goes to stdout
+    capsys.readouterr()
+    assert main(["expand-wildcards", str(lst), str(emb)]) == 0
+    assert capsys.readouterr() == (out.read_text(), "")
+
+
+def test_an_empty_expansion_is_input_error(tmp_path, capsys):
+    emb, lst = tmp_path / "e.txt", tmp_path / "l.txt"
+    emb.write_text("happy 1.0\nsad 3.0\n")
+    lst.write_text("glad*\n")
+    out = tmp_path / "expanded.txt"
+    assert main(["expand-wildcards", str(lst), str(emb), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {lst}: expansion produced no words\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["", "missing/out.txt", "file.txt/out.txt"])
@@ -849,6 +863,26 @@ def test_non_utf8_manifest_is_input_error(workspace, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}:{line}: not valid UTF-8\n"
 
 
+SECTIONS = "manifest needs [embeddings] and [concepts] sections"
+ENTRIES = "need at least one embedding and one concept"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[embeddings]\ngauss = {emb}\n", SECTIONS),
+    ("[embeddings]\ngauss = {emb}\n[concepts]\n", ENTRIES),
+    ("[embeddings]\n[concepts]\nalpha = {ca}\n", ENTRIES),
+], ids=["no [concepts]", "empty [concepts]", "empty [embeddings]"])
+def test_a_manifest_without_concepts_or_embeddings_is_input_error(
+    workspace, tmp_path, capsys, text, reason
+):
+    ws, _ = workspace
+    m = ws / "short.ini"
+    m.write_text(text.format(emb=ws / "emb.txt", ca=ws / "ca.txt"))
+    assert main(["eval", str(m)] + quick_args(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {m}: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_manifest_is_input_error(tmp_path, capsys):
     missing = tmp_path / "none.ini"
     assert main(["eval", str(missing), "--out", str(tmp_path / "o")]) == 1
@@ -898,6 +932,17 @@ def test_gen_random_embedding_rejects_a_vocab_word_with_whitespace(tmp_path, cap
         f"error: {vocab}:2: word 'new york' contains whitespace\n"
     )
     assert not out.exists()
+
+
+def test_gen_random_embedding_reads_a_vocab_file(tmp_path):
+    vocab = tmp_path / "v.txt"
+    # lowercased, first position kept, a `#` line is a word, blank lines skipped
+    vocab.write_text("Paris\n\nLondon\n#tag\n  \nparis\nTokyo\n")
+    out = tmp_path / "g.txt"
+    assert main(["gen-random-embedding", str(out), "--vocab", str(vocab), "--dim", "3"]) == 0
+    lines = out.read_text().splitlines()
+    assert [line.split()[0] for line in lines] == ["paris", "london", "#tag", "tokyo"]
+    assert {len(line.split()) for line in lines} == {4}
 
 
 @pytest.mark.parametrize("target", ["", "missing/g.txt", "file.txt/g.txt"])

@@ -217,6 +217,18 @@ def test_resolved_rows_must_match_in_vocab(gaussian_store):
         replace(rc, rows=rc.rows[:-1])
 
 
+def test_a_concept_and_a_resolved_concept_check_their_invariants(gaussian_store):
+    with pytest.raises(ConceptError, match="^concept 'e' has no words$"):
+        Concept(name="e", words=frozenset())
+    rc = random_concept(gaussian_store, 8, seed=0)
+    with pytest.raises(ConceptError, match="do not partition the concept"):
+        replace(rc, in_vocab=rc.in_vocab[1:], rows=rc.rows[1:])
+    with pytest.raises(ConceptError, match="overlap"):
+        replace(rc, dropped=rc.in_vocab[:1])
+    with pytest.raises(ConceptError, match="fully out of vocabulary"):
+        replace(rc, in_vocab=(), dropped=rc.in_vocab, rows=rc.rows[:0])
+
+
 def test_random_concept_matches_word_pool_reference():
     # the word-pool draw the index draw replaced, kept as oracle
     def reference(store, size, seed, name):

@@ -270,6 +270,11 @@ def test_gaussian_rejects_bad_args():
 
 
 def test_store_invariant_checks():
+    with pytest.raises(ValueError, match="shape does not match"):
+        EmbeddingStore(
+            name="s", dimension=2, vocabulary=("a", "b"),
+            vectors=np.zeros((2, 3)),
+        )
     with pytest.raises(ValueError, match="duplicate"):
         EmbeddingStore(
             name="d", dimension=1, vocabulary=("a", "a"),
@@ -648,7 +653,9 @@ def test_a_changed_file_misses_whatever_its_size_and_mtime(
     assert len(list(vector_cache.rglob("*"))) == 3  # its directory and 2 files
 
 
-@pytest.mark.parametrize("damage", ["truncated npy", "empty npy", "missing words"])
+@pytest.mark.parametrize(
+    "damage", ["truncated npy", "empty npy", "float64 npy", "1-D npy", "missing words"]
+)
 def test_a_damaged_entry_is_ignored_and_rewritten(
     vector_file, monkeypatch, capsys, vector_cache, damage
 ):
@@ -659,6 +666,10 @@ def test_a_damaged_entry_is_ignored_and_rewritten(
         npy.write_bytes(npy.read_bytes()[:-5])
     elif damage == "empty npy":
         npy.write_bytes(b"")
+    elif damage == "float64 npy":
+        np.save(npy, np.load(npy).astype(np.float64))
+    elif damage == "1-D npy":
+        np.save(npy, np.load(npy).ravel())
     else:
         npy.with_suffix(".words").unlink()
     store = embeddings.load_cached(spec)
@@ -669,3 +680,17 @@ def test_a_damaged_entry_is_ignored_and_rewritten(
     monkeypatch.setattr(embeddings, "_parse_block", None)  # a hit parses nothing
     _same_store(embeddings.load_cached(spec), store)
     assert capsys.readouterr().err == ""
+
+
+def test_a_failed_replace_removes_its_temporary_file(tmp_path):
+    target = tmp_path / "entry.npy"
+    target.write_bytes(b"old")
+
+    def write(fh):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        embeddings._replace_file(str(target), write)
+    assert [p.name for p in tmp_path.iterdir()] == ["entry.npy"]
+    assert target.read_bytes() == b"old"

@@ -1,5 +1,6 @@
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,19 +22,23 @@ from conftest import normalized_copy
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The size of each process pool `run_embedding` starts; the pools
-    still fork."""
+    """The size of each process pool `run_embedding` starts (`sizes`) and
+    the work items submitted to them (`items`); the pools still fork."""
     from conceptlearn import experiment
 
-    sizes = []
+    log = SimpleNamespace(sizes=[], items=0)
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            sizes.append(kwargs["max_workers"])
+            log.sizes.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
+        def submit(self, *args, **kwargs):
+            log.items += 1
+            return super().submit(*args, **kwargs)
+
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
-    return sizes
+    return log
 
 
 def run_twice(store, rc, cfg, workers):
@@ -88,7 +93,7 @@ def test_run_concept_worker_independence(pools):
     rc = random_concept(store, 54, seed=2, name="c54")
     serial = run_concept(store, rc, cfg, workers=1)
     parallel = run_concept(store, rc, cfg, workers=4)
-    assert pools == [4]  # one stack per worker
+    assert pools.sizes == [4]  # one stack per worker
     assert serial.records == parallel.records
     assert serial.means == parallel.means
 
@@ -102,7 +107,7 @@ def test_run_concept_stacked_records_equal_serial_iterations(gaussian_store, poo
         assert run_concept(gaussian_store, rc, cfg).records == serial
         for workers in (1, 2):
             assert run_twice(gaussian_store, rc, cfg, workers) == serial
-    assert pools == [2, 2]  # the stack trains in a forked worker too
+    assert pools.sizes == [2, 2]  # the stack trains in a forked worker too
 
 
 LOSS_ERROR = "non-finite training loss at epoch 1 (learning rate 0.1)"
@@ -157,7 +162,7 @@ def test_run_concept_failed_fit_raises_the_serial_error(
         with pytest.raises(RuntimeError) as forked:
             run_twice(store, rc, cfg, workers=2)
         assert str(forked.value) == str(serial.value)
-    assert pools == [2]
+    assert pools.sizes == [2]
     assert str(serial.value) == f"iteration {index} of concept 'c10' failed: {message}"
     assert splits == list(range(cfg.iterations))  # one draw per fit
 
@@ -183,7 +188,7 @@ def test_normalize_on_gather_matches_the_normalized_copy(pools, dtype, dim, size
     copy = normalized_copy(store)
     for workers in (1, 2):
         assert run_twice(store, rc, cfg, workers) == run_twice(copy, rc, cfg, workers)
-    assert pools == [2, 2]
+    assert pools.sizes == [2, 2]
     assert run_null(store, cfg).per_list == run_null(copy, cfg).per_list
 
 
@@ -245,6 +250,28 @@ def test_run_null_deterministic_across_workers(gaussian_store):
     a = run_null(gaussian_store, cfg, workers=1)
     b = run_null(gaussian_store, cfg, workers=4)
     assert a.per_list == b.per_list
+
+
+def test_the_pool_takes_one_task_at_a_time(pools):
+    """Fourteen one-fit concept stacks, then two null lists of fourteen fits
+    each at the end of the task list: every task is its own work item, so
+    the null lists are not batched onto one worker."""
+    from conceptlearn import experiment
+
+    # d = 300: a 120-word list trains one fit at a time (`stack_size` 1)
+    store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
+    rc = random_concept(store, 120, seed=2, name="c120")
+    cfg = quick_cfg(iterations=14, random_list_count=2, random_list_size=120)
+    assert len(experiment._stacks(store, rc, cfg.iterations)) == 14
+    serial, serial_null = experiment.run_embedding(store, cfg, [rc], null=True)
+    parallel, null = experiment.run_embedding(store, cfg, [rc], null=True, workers=2)
+    assert pools.sizes == [2]
+    assert pools.items == 14 + 2
+    assert parallel[0].records == serial[0].records
+    assert parallel[0].means == serial[0].means
+    assert null.per_list == serial_null.per_list
+    assert null.max_row == serial_null.max_row
+    assert null.mean_row == serial_null.mean_row
 
 
 def test_an_oversize_random_list_raises_before_any_fit(monkeypatch):
@@ -325,7 +352,7 @@ class InlinePool:
     def __exit__(self, *exc):
         pass
 
-    def map(self, fn, tasks, chunksize=1):
+    def map(self, fn, tasks):
         return map(fn, tasks)
 
 

@@ -97,6 +97,11 @@ def test_vocab_too_small():
         make_split(rc, store, 0, 0)
 
 
+def test_a_list_of_three_words_is_too_small_to_split(gaussian_store):
+    with pytest.raises(ValueError, match="^concept of 3 words is too small to split$"):
+        make_split(concept_of(gaussian_store, 3), gaussian_store, 0, 0)
+
+
 def test_test_pos_membership_frequency(gaussian_store):
     # each word should land in test_pos with probability |test_pos|/n
     rc = concept_of(gaussian_store, 10)
