@@ -26,8 +26,7 @@ vectors = np.vstack([
     rng.normal(size=(len(background), d)),
 ])
 store = EmbeddingStore(
-    name="separable", dimension=d,
-    vocabulary=concept_words + background, vectors=vectors,
+    name="separable", vocabulary=concept_words + background, vectors=vectors
 )
 
 rc = resolve(Concept(name="axis-shifted", words=frozenset(concept_words)), store)

@@ -54,7 +54,8 @@ class RunManifest:
 def load_manifest(path: str) -> RunManifest:
     """Parse a key/value manifest: an [embeddings] section and a [concepts]
     section, each mapping a unique name to a file path. Names keep their
-    case and values are taken literally (no '%' interpolation)."""
+    case and values are taken literally (no '%' interpolation). An embedding
+    name, part of its report file names, may hold no path separator."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
@@ -73,6 +74,9 @@ def load_manifest(path: str) -> RunManifest:
     concepts = list(parser["concepts"].items())
     if not embeddings or not concepts:
         raise InputError(f"{path}: need at least one embedding and one concept")
+    for name, _ in embeddings:
+        if {"/", os.sep, os.altsep} & set(name):
+            raise InputError(f"{path}: embedding name {name!r} holds a path separator")
     return RunManifest(embeddings=embeddings, concepts=concepts)
 
 
@@ -117,9 +121,9 @@ def _make_outdir(path: str) -> None:
         raise InputError(f"--out {path}: {exc.strerror}") from None
 
 
-def _check_out_file(path: str) -> None:
-    """Refuse, before any load or draw, an output file that is a directory
-    or whose parent is not one."""
+def _check_file(path: str) -> None:
+    """Refuse, before any load or draw, a file argument, input or output,
+    that is a directory or whose parent is not one."""
     if os.path.isdir(path):
         raise InputError(f"{path}: Is a directory")
     parent = os.path.dirname(path) or "."
@@ -240,8 +244,9 @@ def compare_outcome(aucs_a, aucs_b, alternative: str):
 
 
 def cmd_gen_random_embedding(args) -> int:
-    _check_out_file(args.out_file)
+    _check_file(args.out_file)
     if args.vocab:
+        _check_file(args.vocab)
         # not a word list: a `#` line is a word
         with open_utf8(args.vocab, InputError) as fh:
             lines = fh.readlines()
@@ -263,8 +268,10 @@ def cmd_gen_random_embedding(args) -> int:
 
 
 def cmd_expand_wildcards(args) -> int:
+    _check_file(args.list_file)
+    _check_file(args.embedding_file)
     if args.out_file:
-        _check_out_file(args.out_file)
+        _check_file(args.out_file)
     spec = EmbeddingSourceSpec(path=args.embedding_file, lowercase=True)
     store = load_cached(spec)
     expanded = expand_wildcards(args.list_file, store.vocabulary)

@@ -39,34 +39,27 @@ class Concept:
             raise ConceptError(f"concept {self.name!r} has no words")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolvedConcept:
     """A concept intersected with an embedding vocabulary.
 
-    `in_vocab` keeps a deterministic (sorted) order so downstream sampling is
-    reproducible, and `rows` their rows in the store resolved against;
-    `dropped` records the out-of-vocabulary words.
+    `rows` are its in-vocabulary words' rows in the store resolved against,
+    in word order so downstream sampling is reproducible (the words are
+    `store.vocabulary[r]`); `dropped` holds the out-of-vocabulary words.
     """
 
     concept: Concept
     embedding_name: str
-    in_vocab: tuple[str, ...]
     dropped: tuple[str, ...]
-    rows: np.ndarray = field(compare=False, repr=False)
+    rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.rows) != len(self.in_vocab):
-            raise ConceptError("rows and in_vocab differ in length")
-        if set(self.in_vocab) | set(self.dropped) != set(self.concept.words):
-            raise ConceptError("in_vocab and dropped do not partition the concept")
-        if set(self.in_vocab) & set(self.dropped):
-            raise ConceptError("in_vocab and dropped overlap")
-        if not self.in_vocab:
+        if not len(self.rows):
             raise ConceptError(f"concept {self.concept.name!r} is fully out of vocabulary")
 
     @property
     def size(self) -> int:
-        return len(self.in_vocab)
+        return len(self.rows)
 
     @property
     def raw_size(self) -> int:
@@ -154,10 +147,7 @@ def resolve(concept: Concept, store: EmbeddingStore) -> ResolvedConcept:
         )
     check_vocabulary_size(len(in_vocab), len(store))
     return ResolvedConcept(
-        concept=concept,
-        embedding_name=store.name,
-        in_vocab=tuple(in_vocab),
-        dropped=tuple(dropped),
+        concept=concept, embedding_name=store.name, dropped=tuple(dropped),
         rows=np.array([store.index[w] for w in in_vocab], dtype=np.intp),
     )
 
@@ -170,10 +160,9 @@ def random_concept(
     if size > len(store):
         raise ConceptError(f"cannot sample {size} words from {len(store)} available")
     picked = stream(seed, name).choice(len(store), size=size, replace=False).tolist()
-    picked.sort(key=store.vocabulary.__getitem__)  # in_vocab is in word order
-    words = tuple(store.vocabulary[i] for i in picked)
-    concept = Concept(name=name, words=frozenset(words))
+    picked.sort(key=store.vocabulary.__getitem__)  # rows are in word order
+    concept = Concept(name=name, words=frozenset(store.vocabulary[i] for i in picked))
     return ResolvedConcept(
-        concept=concept, embedding_name=store.name, in_vocab=words, dropped=(),
+        concept=concept, embedding_name=store.name, dropped=(),
         rows=np.array(picked, dtype=np.intp),
     )

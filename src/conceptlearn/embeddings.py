@@ -69,7 +69,6 @@ class EmbeddingStore:
     """
 
     name: str
-    dimension: int
     vocabulary: tuple[str, ...]
     vectors: np.ndarray
     skipped_duplicates: int = 0
@@ -77,8 +76,8 @@ class EmbeddingStore:
     norms: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.vectors.shape != (len(self.vocabulary), self.dimension):
-            raise ValueError("vector matrix shape does not match vocabulary/dimension")
+        if self.vectors.ndim != 2 or len(self.vectors) != len(self.vocabulary):
+            raise ValueError("vectors must be a 2-D matrix with one row per word")
         bad = _first_nonfinite_row(self.vectors)
         if bad is not None:
             raise _NonFiniteRow(bad)
@@ -87,6 +86,10 @@ class EmbeddingStore:
             if len(idx) != len(self.vocabulary):
                 raise ValueError("duplicate words in vocabulary")
             object.__setattr__(self, "index", idx)
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def normalized(self) -> bool:
@@ -164,7 +167,6 @@ def load_cached(spec: EmbeddingSourceSpec) -> EmbeddingStore:
                 raise ValueError(f"a {vectors.dtype} matrix of shape {vectors.shape}")
             return EmbeddingStore(
                 name=spec.path,
-                dimension=vectors.shape[1],
                 vocabulary=tuple(meta["vocabulary"]),
                 # a plain ndarray view: the np.memmap subclass would pass on
                 # to every slice and result computed from the matrix
@@ -285,7 +287,6 @@ def load_embedding(spec: EmbeddingSourceSpec) -> EmbeddingStore:
     try:
         return EmbeddingStore(
             name=spec.path,
-            dimension=dim,
             vocabulary=tuple(seen),
             vectors=mat,
             skipped_duplicates=records - len(seen),
@@ -457,4 +458,4 @@ def random_gaussian_embedding(
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     mat = stream(seed).standard_normal((len(vocab), dimension))
-    return EmbeddingStore(name=name, dimension=dimension, vocabulary=vocab, vectors=mat)
+    return EmbeddingStore(name=name, vocabulary=vocab, vectors=mat)

@@ -37,11 +37,14 @@ class PerceptronModel:
     weights: np.ndarray
     bias: float
     train_loss_trace: tuple[float, ...]
-    epochs_run: int
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.weights)) and np.isfinite(self.bias)):
             raise ValueError("non-finite model parameters")
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.train_loss_trace)
 
 
 def sigmoid(z):
@@ -99,9 +102,7 @@ def train(
         theta = theta - lr * grad_theta
         bias = bias - lr * grad_bias
 
-    return PerceptronModel(
-        weights=theta, bias=bias, train_loss_trace=tuple(trace), epochs_run=len(trace)
-    )
+    return PerceptronModel(weights=theta, bias=bias, train_loss_trace=tuple(trace))
 
 
 # Stacked training (`train_many`) pays while one model's float64 training
@@ -182,7 +183,6 @@ def train_many(
             weights=weights[i],
             bias=float(biases[i]),
             train_loss_trace=tuple(losses[: epochs_run[i], i].tolist()),
-            epochs_run=int(epochs_run[i]),
         )
         for i in range(k)
     ]

@@ -77,8 +77,8 @@ def make_split(
 ) -> EvaluationSplit:
     """One labeled train/test partition, as vocabulary row indices.
 
-    Positives: a uniform shuffle of `resolved.rows` (in `in_vocab` order),
-    first `train_positives(n)` to train. Negatives: a
+    Positives: a uniform shuffle of `resolved.rows` (in word order), first
+    `train_positives(n)` to train. Negatives: a
     single without-replacement draw from the rows of V minus the concept, in
     vocabulary order, first |train_pos| to train and the rest to test, so the
     two negative sets are disjoint within an iteration.

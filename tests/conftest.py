@@ -23,7 +23,6 @@ def tiny_store(tmp_path):
 def small_store():
     return EmbeddingStore(
         name="small",
-        dimension=2,
         vocabulary=("cat", "dog"),
         vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
     )
@@ -57,11 +56,16 @@ def rows_of(store, words):
     return np.array([store.index[w] for w in words], dtype=np.intp)
 
 
+def words_of(store, rows):
+    """The words of vocabulary `rows`, in the given order."""
+    return tuple(store.vocabulary[r] for r in rows)
+
+
 def normalized_copy(store):
     """The float64 copy `normalize` once returned, kept as its oracle: a
     plain store whose rows are float64(x) / norm."""
     norms = np.linalg.norm(np.asarray(store.vectors, dtype=np.float64), axis=1)
     return EmbeddingStore(
-        name=store.name, dimension=store.dimension, vocabulary=store.vocabulary,
+        name=store.name, vocabulary=store.vocabulary,
         vectors=store.vectors / norms[:, None],
     )

@@ -82,8 +82,7 @@ def test_criterion_2_separable_concept():
         ]
     )
     store = EmbeddingStore(
-        name="separable", dimension=d,
-        vocabulary=concept_words + background, vectors=vectors,
+        name="separable", vocabulary=concept_words + background, vectors=vectors
     )
     rc = resolve(Concept(name="axis1", words=frozenset(concept_words)), store)
     cfg = ExperimentConfig(iterations=100, master_seed=5, train=TrainConfig())

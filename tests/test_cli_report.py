@@ -904,6 +904,32 @@ def test_manifest_names_keep_case(workspace, tmp_path):
     assert any(r.startswith("PosEmo,") for r in rows)
 
 
+@pytest.mark.parametrize("name", ["x/y", "../escaped"])
+@pytest.mark.parametrize("command", ["eval", "null", "compare"])
+def test_an_embedding_name_with_a_path_separator_fails_before_any_fit(
+    workspace, monkeypatch, capsys, command, name
+):
+    # the name becomes part of a report file name: `x/y` would fail at the
+    # first write and `../escaped` would write beside --out
+    from conceptlearn import experiment
+
+    ws, _ = workspace
+    m = ws / "sep.ini"
+    m.write_text(f"[embeddings]\n{name} = {ws / 'emb.txt'}\n"
+                 f"[concepts]\nalpha = {ws / 'ca.txt'}\nbeta = {ws / 'cb.txt'}\n")
+    fits = []
+    for attr in ("train", "train_many"):
+        monkeypatch.setattr(experiment, attr, lambda *a, _n=attr: fits.append(_n))
+    files = set(ws.rglob("*"))
+    names = [name, name] if command == "compare" else []
+    assert main([command, str(m), *names] + quick_args(ws / "runs" / "o")) == 1
+    assert fits == []
+    assert set(ws.rglob("*")) == files
+    assert capsys.readouterr().err == (
+        f"error: {m}: embedding name {name!r} holds a path separator\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -959,6 +985,29 @@ def test_gen_random_embedding_checks_its_out_file_before_the_draw(
     assert main(["gen-random-embedding", out, "--words", "30", "--dim", "4"]) == 1
     assert draws == []
     assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand-wildcards", "{dir}", "{emb}"],
+    ["expand-wildcards", "{list}", "{dir}"],
+    ["gen-random-embedding", "{out}", "--vocab", "{dir}"],
+], ids=["word list", "vector file", "vocab file"])
+def test_a_directory_as_an_input_file_is_input_error(
+    tmp_path, monkeypatch, capsys, argv
+):
+    from conceptlearn import cli
+
+    (tmp_path / "d").mkdir()
+    (tmp_path / "e.txt").write_text("happy 1.0\nsad 3.0\n")
+    (tmp_path / "l.txt").write_text("happ*\n")
+    loads = []
+    monkeypatch.setattr(cli, "load_cached", loads.append)
+    paths = {"dir": tmp_path / "d", "emb": tmp_path / "e.txt",
+             "list": tmp_path / "l.txt", "out": tmp_path / "g.txt"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert loads == []
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'd'}: Is a directory\n")
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_gen_random_embedding_zero_words_is_input_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ from conceptlearn import (
     resolve,
 )
 from conceptlearn.embeddings import name_key
-from conftest import rows_of
+from conftest import rows_of, words_of
 
 
 def write_list(tmp_path, text, name="list.txt"):
@@ -146,8 +146,9 @@ def test_resolve_partitions(gaussian_store):
     words = set(gaussian_store.vocabulary[:10]) | {"missing1", "missing2"}
     concept = Concept(name="c", words=frozenset(words))
     rc = resolve(concept, gaussian_store)
-    assert set(rc.in_vocab) | set(rc.dropped) == words
-    assert not set(rc.in_vocab) & set(rc.dropped)
+    in_vocab = words_of(gaussian_store, rc.rows)
+    assert set(in_vocab) | set(rc.dropped) == words
+    assert not set(in_vocab) & set(rc.dropped)
     assert rc.size == 10
     assert rc.raw_size == 12
     assert rc.dropped == ("missing1", "missing2")
@@ -170,13 +171,13 @@ def test_random_concept_size_and_determinism(gaussian_store):
     c = random_concept(gaussian_store, 40, seed=6)
     assert a.size == 40
     assert a.dropped == ()
-    assert a.in_vocab == b.in_vocab
-    assert a.in_vocab != c.in_vocab
+    assert words_of(gaussian_store, a.rows) == words_of(gaussian_store, b.rows)
+    assert words_of(gaussian_store, a.rows) != words_of(gaussian_store, c.rows)
 
 
 def test_random_concept_whole_vocabulary(gaussian_store):
     rc = random_concept(gaussian_store, len(gaussian_store), seed=0)
-    assert set(rc.in_vocab) == set(gaussian_store.vocabulary)
+    assert set(words_of(gaussian_store, rc.rows)) == set(gaussian_store.vocabulary)
 
 
 def test_random_concept_insufficient_pool(gaussian_store):
@@ -190,7 +191,7 @@ def test_random_concept_uniform():
     draws = 10_000
     for k in range(draws):
         rc = random_concept(store, 1, seed=k, name="u")
-        counts[rc.in_vocab[0]] += 1
+        counts[store.vocabulary[rc.rows[0]]] += 1
     # binomial(10000, 0.1): sigma = sqrt(n p (1-p)) = 30
     expected, sigma = draws / 10, np.sqrt(draws * 0.1 * 0.9)
     for c in counts.values():
@@ -198,7 +199,7 @@ def test_random_concept_uniform():
 
 
 def test_resolved_rows_are_the_rows_of_in_vocab():
-    # vocabulary in shuffled order: in_vocab (word) order is not row order
+    # vocabulary in shuffled order: word order is not row order
     vocab = [f"w{i:03d}" for i in range(200)]
     order = np.random.default_rng(6).permutation(len(vocab))
     store = random_gaussian_embedding([vocab[i] for i in order], 3, seed=1)
@@ -206,27 +207,20 @@ def test_resolved_rows_are_the_rows_of_in_vocab():
     concepts = [resolve(Concept(name="c", words=words), store)]
     concepts += [random_concept(store, n, seed=n, name="r") for n in (4, 31, 99)]
     for rc in concepts:
-        assert rc.in_vocab == tuple(sorted(rc.in_vocab))
+        in_vocab = words_of(store, rc.rows)
+        assert in_vocab == tuple(sorted(rc.concept.words - set(rc.dropped)))
         assert rc.rows.dtype == np.intp
-        assert np.array_equal(rc.rows, rows_of(store, rc.in_vocab))
-
-
-def test_resolved_rows_must_match_in_vocab(gaussian_store):
-    rc = random_concept(gaussian_store, 8, seed=0)
-    with pytest.raises(ConceptError, match="rows and in_vocab differ in length"):
-        replace(rc, rows=rc.rows[:-1])
+        assert np.array_equal(rc.rows, rows_of(store, in_vocab))
 
 
 def test_a_concept_and_a_resolved_concept_check_their_invariants(gaussian_store):
     with pytest.raises(ConceptError, match="^concept 'e' has no words$"):
         Concept(name="e", words=frozenset())
     rc = random_concept(gaussian_store, 8, seed=0)
-    with pytest.raises(ConceptError, match="do not partition the concept"):
-        replace(rc, in_vocab=rc.in_vocab[1:], rows=rc.rows[1:])
-    with pytest.raises(ConceptError, match="overlap"):
-        replace(rc, dropped=rc.in_vocab[:1])
+    # equality is identity: rows in another order are another concept
+    assert rc == rc and replace(rc, rows=rc.rows[::-1]) != rc
     with pytest.raises(ConceptError, match="fully out of vocabulary"):
-        replace(rc, in_vocab=(), dropped=rc.in_vocab, rows=rc.rows[:0])
+        replace(rc, dropped=words_of(gaussian_store, rc.rows), rows=rc.rows[:0])
 
 
 def test_random_concept_matches_word_pool_reference():
@@ -244,4 +238,4 @@ def test_random_concept_matches_word_pool_reference():
     for size in (4, 7, 10, 31):
         for seed in (0, 9, -1):
             rc = random_concept(store, size, seed=seed, name="r")
-            assert rc.in_vocab == reference(store, size, seed, "r")
+            assert words_of(store, rc.rows) == reference(store, size, seed, "r")

@@ -92,7 +92,7 @@ def test_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     vocab = tuple(f"w{i}" for i in range(20))
     store = EmbeddingStore(
-        name="rt", dimension=6, vocabulary=vocab,
+        name="rt", vocabulary=vocab,
         vectors=rng.normal(size=(20, 6)),
     )
     out = tmp_path / "out.txt"
@@ -117,7 +117,7 @@ def test_save_embedding_bytes_match_per_value_format(tmp_path):
     mat = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 9, size=(40, 6))
     mat[0] = special
     f64 = EmbeddingStore(
-        name="f64", dimension=6, vocabulary=tuple(f"w{i}" for i in range(40)),
+        name="f64", vocabulary=tuple(f"w{i}" for i in range(40)),
         vectors=mat,
     )
     text = tmp_path / "in.txt"
@@ -127,7 +127,7 @@ def test_save_embedding_bytes_match_per_value_format(tmp_path):
     # a normalized store writes its unit rows; 1e300 squared overflows the
     # norm, so the float64 one leaves out row 0
     f64_rest = EmbeddingStore(
-        name="f64-rest", dimension=6, vocabulary=f64.vocabulary[1:], vectors=mat[1:]
+        name="f64-rest", vocabulary=f64.vocabulary[1:], vectors=mat[1:]
     )
     for store, raw in ((f64, f64_rest), (f32, f32)):
         out = tmp_path / f"{store.name}.txt"
@@ -145,7 +145,7 @@ def test_lookup_oov_returns_none(tiny_store):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_lookup_reads_a_float64_copy(dtype):
     vectors = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=dtype)
-    store = EmbeddingStore(name="c", dimension=2, vocabulary=("a", "b"), vectors=vectors)
+    store = EmbeddingStore(name="c", vocabulary=("a", "b"), vectors=vectors)
     before = store.vectors.copy()
     row = store.lookup("a")
     assert row.dtype == np.float64 and np.array_equal(row, [1.0, 2.0])
@@ -156,7 +156,7 @@ def test_lookup_reads_a_float64_copy(dtype):
 
 def test_normalize_345(small_store):
     store = EmbeddingStore(
-        name="n", dimension=2, vocabulary=("a", "b"),
+        name="n", vocabulary=("a", "b"),
         vectors=np.array([[3.0, 4.0], [1.0, 0.0]]),
     )
     normed = normalize(store)
@@ -175,7 +175,7 @@ def test_normalize_idempotent(gaussian_store):
 
 def test_normalize_rejects_zero_vector():
     store = EmbeddingStore(
-        name="z", dimension=2, vocabulary=("ok", "zero"),
+        name="z", vocabulary=("ok", "zero"),
         vectors=np.array([[1.0, 1.0], [0.0, 0.0]]),
     )
     with pytest.raises(ValueError, match="^zero vector for word 'zero'$"):
@@ -184,7 +184,7 @@ def test_normalize_rejects_zero_vector():
 
 def test_normalized_view_rejects_zero_vector_like_normalize():
     store = EmbeddingStore(
-        name="z", dimension=2, vocabulary=("ok", "zero"),
+        name="z", vocabulary=("ok", "zero"),
         vectors=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.float32),
     )
     with pytest.raises(ValueError, match="^zero vector for word 'zero'$"):
@@ -193,7 +193,7 @@ def test_normalized_view_rejects_zero_vector_like_normalize():
 
 def test_normalize_rejects_a_norm_that_overflows():
     store = EmbeddingStore(
-        name="o", dimension=2, vocabulary=("ok", "huge"),
+        name="o", vocabulary=("ok", "huge"),
         vectors=np.array([[1.0, 1.0], [1e300, 1e300]]),
     )
     with pytest.raises(ValueError, match="^vector norm overflows float64 for word 'huge'$"):
@@ -210,7 +210,7 @@ def test_normalize_reads_the_rows_of_the_normalized_copy(dtype):
     rng = np.random.default_rng(5)
     vectors = (rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-3, 4, (300, 1)))
     store = EmbeddingStore(
-        name="v", dimension=7, vocabulary=tuple(f"w{i}" for i in range(300)),
+        name="v", vocabulary=tuple(f"w{i}" for i in range(300)),
         vectors=vectors.astype(dtype),
     )
     copy, normed = normalized_copy(store), normalize(store)
@@ -270,19 +270,19 @@ def test_gaussian_rejects_bad_args():
 
 
 def test_store_invariant_checks():
-    with pytest.raises(ValueError, match="shape does not match"):
-        EmbeddingStore(
-            name="s", dimension=2, vocabulary=("a", "b"),
-            vectors=np.zeros((2, 3)),
-        )
+    one_row_per_word = "^vectors must be a 2-D matrix with one row per word$"
+    with pytest.raises(ValueError, match=one_row_per_word):
+        EmbeddingStore(name="s", vocabulary=("a", "b"), vectors=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=one_row_per_word):
+        EmbeddingStore(name="v", vocabulary=("a", "b"), vectors=np.zeros(2))
     with pytest.raises(ValueError, match="duplicate"):
         EmbeddingStore(
-            name="d", dimension=1, vocabulary=("a", "a"),
+            name="d", vocabulary=("a", "a"),
             vectors=np.zeros((2, 1)),
         )
     with pytest.raises(ValueError, match="non-finite"):
         EmbeddingStore(
-            name="f", dimension=1, vocabulary=("a",),
+            name="f", vocabulary=("a",),
             vectors=np.array([[np.nan]]),
         )
 

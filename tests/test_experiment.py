@@ -136,7 +136,7 @@ def test_run_concept_failed_fit_raises_the_serial_error(
     scaled = np.ones((len(gaussian_store), 1))
     scaled[slice(None) if row is None else gaussian_store.index[row]] = scale
     store = EmbeddingStore(
-        name="scaled", dimension=gaussian_store.dimension,
+        name="scaled",
         vocabulary=gaussian_store.vocabulary, vectors=gaussian_store.vectors * scaled,
     )
     rc = random_concept(store, 10, seed=3, name="c10")
@@ -180,7 +180,7 @@ def test_run_concept_normalize_flag(gaussian_store):
 def test_normalize_on_gather_matches_the_normalized_copy(pools, dtype, dim, size):
     rng = np.random.default_rng(11)
     store = EmbeddingStore(
-        name="g", dimension=dim, vocabulary=tuple(f"w{i}" for i in range(400)),
+        name="g", vocabulary=tuple(f"w{i}" for i in range(400)),
         vectors=(rng.standard_normal((400, dim)) * 3.0).astype(dtype),
     )
     cfg = quick_cfg(normalize=True, random_list_size=size)
@@ -195,7 +195,7 @@ def test_normalize_on_gather_matches_the_normalized_copy(pools, dtype, dim, size
 def test_normalize_allocates_no_matrix_copy():
     vocab, dim = tuple(f"w{i}" for i in range(40000)), 50
     vectors = np.random.default_rng(1).standard_normal((40000, dim), dtype=np.float32)
-    store = EmbeddingStore(name="m", dimension=dim, vocabulary=vocab, vectors=vectors)
+    store = EmbeddingStore(name="m", vocabulary=vocab, vectors=vectors)
     cfg = quick_cfg(normalize=True, random_list_count=2, random_list_size=20)
     rc = random_concept(store, 30, seed=1, name="c")
     tracemalloc.start()
@@ -224,7 +224,7 @@ def test_separable_concept_learnable():
     from conceptlearn import Concept, EmbeddingStore, resolve
 
     store = EmbeddingStore(
-        name="sep", dimension=d, vocabulary=concept_words + background, vectors=vectors
+        name="sep", vocabulary=concept_words + background, vectors=vectors
     )
     rc = resolve(Concept(name="axis", words=frozenset(concept_words)), store)
     agg = run_concept(store, rc, quick_cfg(iterations=20, train=TrainConfig()))

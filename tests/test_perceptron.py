@@ -27,7 +27,7 @@ from conftest import rows_of
 def store_from(vocab, rows):
     rows = np.asarray(rows, dtype=float)
     return EmbeddingStore(
-        name="t", dimension=rows.shape[1], vocabulary=tuple(vocab), vectors=rows
+        name="t", vocabulary=tuple(vocab), vectors=rows
     )
 
 
@@ -174,8 +174,9 @@ def test_train_deterministic(gaussian_store):
 def test_untrained_model_scores_half(gaussian_store):
     model = PerceptronModel(
         weights=np.zeros(gaussian_store.dimension), bias=0.0,
-        train_loss_trace=(math.log(2),), epochs_run=0,
+        train_loss_trace=(math.log(2),),
     )
+    assert model.epochs_run == len(model.train_loss_trace)
     rows = rows_of(gaussian_store, gaussian_store.vocabulary[:7])
     assert np.all(score(model, gaussian_store, rows) == 0.5)
 

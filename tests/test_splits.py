@@ -15,7 +15,7 @@ from conceptlearn import (
     split_rng,
 )
 from conceptlearn.embeddings import name_key
-from conftest import rows_of
+from conftest import words_of
 
 
 def concept_of(store, size, seed=11):
@@ -50,7 +50,7 @@ def test_odd_split_train_gets_extra(gaussian_store):
 def test_positives_partition_concept(gaussian_store):
     rc = concept_of(gaussian_store, 20)
     split = make_split(rc, gaussian_store, 0, 1)
-    rows = set(rows_of(gaussian_store, rc.in_vocab).tolist())
+    rows = set(rc.rows.tolist())
     assert set(split.train_pos.tolist()) | set(split.test_pos.tolist()) == rows
     assert not set(split.train_pos.tolist()) & set(split.test_pos.tolist())
 
@@ -58,7 +58,7 @@ def test_positives_partition_concept(gaussian_store):
 def test_negatives_from_complement_and_disjoint(gaussian_store):
     rc = concept_of(gaussian_store, 20)
     split = make_split(rc, gaussian_store, 0, 1)
-    member = set(rows_of(gaussian_store, rc.in_vocab).tolist())
+    member = set(rc.rows.tolist())
     assert not set(split.train_neg.tolist()) & member
     assert not set(split.test_neg.tolist()) & member
     lists = [split.train_pos, split.train_neg, split.test_pos, split.test_neg]
@@ -106,7 +106,7 @@ def test_test_pos_membership_frequency(gaussian_store):
     # each word should land in test_pos with probability |test_pos|/n
     rc = concept_of(gaussian_store, 10)
     iters = 2000
-    counts = {r: 0 for r in rows_of(gaussian_store, rc.in_vocab).tolist()}
+    counts = {r: 0 for r in rc.rows.tolist()}
     for i in range(iters):
         split = make_split(rc, gaussian_store, i, 7)
         for r in split.test_pos.tolist():
@@ -143,7 +143,7 @@ def test_split_stream_differs_from_random_list_stream():
 def reference_split_words(resolved, store, iteration_index, master_seed):
     """The word-pool `make_split` the row version replaced, kept as oracle:
     same RNG calls, negatives drawn from a list of the non-member words."""
-    words = resolved.in_vocab
+    words = words_of(store, resolved.rows)
     n = len(words)
     rng = split_rng(master_seed, resolved.concept.name, iteration_index)
     n_train = math.ceil(n / 2)
@@ -160,8 +160,8 @@ def reference_split_words(resolved, store, iteration_index, master_seed):
 
 
 def test_rows_match_word_pool_reference():
-    # vocabulary in shuffled (non-sorted) order, so `in_vocab` order, row
-    # order and word order all differ; concepts carry OOV words too
+    # vocabulary in shuffled (non-sorted) order, so row order and word
+    # order differ; concepts carry OOV words too
     vocab = [f"w{i:03d}" for i in range(120)]
     order = np.random.default_rng(8).permutation(len(vocab))
     store = random_gaussian_embedding([vocab[i] for i in order], 3, seed=2)
@@ -196,7 +196,7 @@ def reference_delete_split(resolved, store, iteration_index, master_seed):
     """The split `make_split` made through the V-length `np.delete` pool,
     kept as its oracle."""
     rng = split_rng(master_seed, resolved.concept.name, iteration_index)
-    rows = rows_of(store, resolved.in_vocab)
+    rows = resolved.rows
     n, n_train = len(rows), math.ceil(len(rows) / 2)
     pos = rows[rng.permutation(n)]
     pool = np.delete(np.arange(len(store)), rows)
@@ -231,7 +231,7 @@ def test_split_rows_match_the_delete_pool_reference(V, layout):
 def test_a_split_allocates_no_vocabulary_sized_array():
     V = 200_000
     store = EmbeddingStore(
-        name="tall", dimension=1, vocabulary=tuple(f"w{i}" for i in range(V)),
+        name="tall", vocabulary=tuple(f"w{i}" for i in range(V)),
         vectors=np.ones((V, 1), dtype=np.float32),
     )
     rc = concept_of(store, 400)
