@@ -82,13 +82,13 @@ def load_manifest(path: str) -> RunManifest:
 
 def validate_manifest(manifest: RunManifest) -> None:
     """Fail fast on unreadable inputs before any training starts."""
-    problems = []
-    for name, spec in manifest.embeddings:
-        if not os.path.isfile(spec.path):
-            problems.append(f"embedding {name!r}: no such file {spec.path!r}")
-    for name, path in manifest.concepts:
-        if not os.path.isfile(path):
-            problems.append(f"concept {name!r}: no such file {path!r}")
+    entries = [(f"embedding {name!r}", spec.path) for name, spec in manifest.embeddings]
+    entries += [(f"concept {name!r}", path) for name, path in manifest.concepts]
+    problems = [
+        f"{entry}: {_file_problem(path) or f'no such file {path!r}'}"
+        for entry, path in entries
+        if not os.path.isfile(path)
+    ]
     if problems:
         raise InputError("; ".join(problems))
 
@@ -121,14 +121,23 @@ def _make_outdir(path: str) -> None:
         raise InputError(f"--out {path}: {exc.strerror}") from None
 
 
-def _check_file(path: str) -> None:
-    """Refuse, before any load or draw, a file argument, input or output,
-    that is a directory or whose parent is not one."""
+def _file_problem(path: str) -> str | None:
+    """Why `path` cannot name a file, input or output: it is a directory or
+    its parent is not one. None if neither."""
     if os.path.isdir(path):
-        raise InputError(f"{path}: Is a directory")
+        return f"{path}: Is a directory"
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        raise InputError(f"{path}: no directory {parent}")
+        return f"{path}: no directory {parent}"
+    return None
+
+
+def _check_file(path: str) -> None:
+    """Refuse, before any load or draw, a file argument that
+    `_file_problem` refuses."""
+    problem = _file_problem(path)
+    if problem:
+        raise InputError(problem)
 
 
 def _prepare(spec: EmbeddingSourceSpec, cfg, concepts=(), null: bool = True):

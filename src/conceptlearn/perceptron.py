@@ -65,55 +65,24 @@ def sigmoid(z):
 def cross_entropy(z: np.ndarray, y: np.ndarray):
     """Mean cross-entropy from logits over the last axis, via the stable
     softplus form: a number for one model's z, one per model for a stack."""
-    return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
+    return np.add.reduce(np.logaddexp(0.0, z) - y * z, axis=-1) / z.shape[-1]
 
 
 def train(
     split: EvaluationSplit, store: EmbeddingStore, cfg: TrainConfig = TrainConfig()
 ) -> PerceptronModel:
-    """Fit weights and bias on the split's training half.
-
-    Zero initialization, full-batch updates, and a halved learning rate
-    whenever the epoch loss goes up; stops early once the loss decrease drops
-    below `early_stop_tol`. Deterministic in all inputs. Accumulation is in
-    float64 regardless of the store's dtype.
-    """
-    X = store.gather(split.train_rows)
-    y = split.train_labels()
-
-    theta = np.zeros(X.shape[1])
-    bias = 0.0
-    lr = cfg.learning_rate
-    trace: list[float] = []
-    prev = None
-    for epoch in range(cfg.epochs):
-        loss, grad_theta, grad_bias = loss_and_gradient(X, y, theta, bias, cfg.l2)
-        if not np.isfinite(loss):
-            raise FloatingPointError(
-                f"non-finite training loss at epoch {epoch} (learning rate {lr})"
-            )
-        trace.append(loss)
-        if prev is not None:
-            if loss > prev:
-                lr *= 0.5
-            elif prev - loss < cfg.early_stop_tol:
-                break
-        prev = loss
-        theta = theta - lr * grad_theta
-        bias = bias - lr * grad_bias
-
-    return PerceptronModel(weights=theta, bias=bias, train_loss_trace=tuple(trace))
+    """Fit weights and bias on the split's training half: `train_many` on a
+    stack of one."""
+    return train_many([split], store, cfg)[0]
 
 
-# Stacked training (`train_many`) pays while one model's float64 training
-# matrix is small: then a fit is mostly numpy call overhead, which K models
-# share. A stack of STACK_BYTES stays in L2; above MAX_STACKED_FIT_BYTES per
-# model (n > 108 words at d = 300) stacked fits ran slower than serial ones.
-# The serial `train` keeps its own loop and loss: both one-fit alternatives
-# were bitwise equal but slower (at d = 300, `train_many` on one fit took
-# 1.26-1.55x as long for n = 232-908, and one loss written for both shapes
-# 1.09-1.17x as long per serial call), so a change to the loss must edit
-# both `loss_and_gradient` and `_stacked_loss_and_gradient`.
+# Stacking pays while one model's float64 training matrix is small: then a
+# fit is mostly numpy call overhead, which K models share, and a stack of
+# STACK_BYTES stays in L2. As the matrix grows, the products, not the calls,
+# take a fit's time: at d = 300 on 2 vCPUs, stacks took 0.8x the time of
+# one-at-a-time fits at 150 words (360 KiB a fit) but 1.06x at 232 words
+# and 1.26x at 400. Fits above MAX_STACKED_FIT_BYTES (n > 108 words at
+# d = 300) train one at a time, and a stack of one is the serial trainer.
 MAX_STACKED_FIT_BYTES = 256 * 1024
 STACK_BYTES = 2 * 1024 * 1024
 
@@ -130,62 +99,54 @@ def stack_size(train_rows: int, dimension: int) -> int:
 def train_many(
     splits, store: EmbeddingStore, cfg: TrainConfig = TrainConfig()
 ) -> list[PerceptronModel]:
-    """`train` for each of K splits with the same training labels, as one
-    stacked fit.
+    """Fit one model on each split's training half; the splits share their
+    training labels.
 
-    Each epoch runs the K matrix-vector products through one stacked
-    `np.matmul`, which hands every slice to the same BLAS call as `train`,
-    and keeps a learning rate and stop rule per model, so model k is bitwise
-    `train(splits[k], store, cfg)` whatever the other splits are. Raises
-    FloatingPointError if any model's loss turns non-finite.
+    Zero initialization and full-batch updates of all live models through one
+    `loss_and_gradient` call per epoch. Each model keeps its own learning
+    rate, halved whenever its epoch loss goes up, and stops once its loss
+    decrease drops below `early_stop_tol`. Every slice of a stack takes the
+    same BLAS calls and reductions as a stack of one, so a model is bitwise
+    the same whatever the other splits are. Deterministic in all inputs;
+    accumulation is in float64 regardless of the store's dtype. Raises
+    FloatingPointError for the first model whose loss turns non-finite.
     """
-    rows = np.stack([s.train_rows for s in splits])
-    X = store.gather(rows)
-    y = splits[0].train_labels()
-    k, epochs = len(splits), cfg.epochs
-
-    weights, biases = np.zeros((k, store.dimension)), np.zeros(k)
-    epochs_run = np.full(k, epochs)
-    losses = np.empty((epochs, k))
-    # state of the models still training, compacted whenever some stop
-    live = np.arange(k)
-    theta, bias = np.zeros((k, store.dimension)), np.zeros(k)
-    lr = np.full(k, float(cfg.learning_rate))
-    prev = None
-    for epoch in range(epochs):
-        loss, grad_theta, grad_bias = _stacked_loss_and_gradient(
-            X, y, theta, bias, cfg.l2
-        )
-        if not np.isfinite(loss).all():
-            raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
-        losses[epoch, live] = loss
-        if prev is not None:
-            up = loss > prev
-            lr[up] *= 0.5
-            stop = ~up & (prev - loss < cfg.early_stop_tol)
-            if stop.any():
-                done = live[stop]
-                weights[done], biases[done] = theta[stop], bias[stop]
-                epochs_run[done] = epoch + 1
-                keep = ~stop
-                live, X, lr = live[keep], X[keep], lr[keep]
-                theta, bias, loss = theta[keep], bias[keep], loss[keep]
-                grad_theta, grad_bias = grad_theta[keep], grad_bias[keep]
-                if not live.size:
-                    break
-        prev = loss
+    X = store.gather(np.stack([s.train_rows for s in splits]))
+    # a label row per model: ufuncs on operands of one shape do not broadcast
+    y = np.tile(splits[0].train_labels(), (len(splits), 1))
+    theta, bias = np.zeros((len(splits), store.dimension)), np.zeros(len(splits))
+    lr = np.full(len(splits), float(cfg.learning_rate))
+    traces: list[list[float]] = [[] for _ in splits]
+    models: list = [None] * len(splits)
+    live = list(range(len(splits)))  # the split of each stack row
+    for epoch in range(cfg.epochs):
+        loss, grad_theta, grad_bias = loss_and_gradient(X, y, theta, bias, cfg.l2)
+        keep = []
+        for j, (i, value) in enumerate(zip(live, loss.tolist())):
+            if not math.isfinite(value):
+                raise FloatingPointError(
+                    f"non-finite training loss at epoch {epoch} (learning rate {lr[j]})"
+                )
+            trace = traces[i]
+            trace.append(value)
+            if len(trace) > 1:
+                if value > trace[-2]:
+                    lr[j] *= 0.5
+                elif trace[-2] - value < cfg.early_stop_tol:
+                    models[i] = PerceptronModel(theta[j], float(bias[j]), tuple(trace))
+                    continue
+            keep.append(j)
+        if len(keep) < len(live):
+            if not keep:
+                return models
+            live = [live[j] for j in keep]
+            X, y, theta, bias, lr = X[keep], y[keep], theta[keep], bias[keep], lr[keep]
+            grad_theta, grad_bias = grad_theta[keep], grad_bias[keep]
         theta = theta - lr[:, None] * grad_theta
         bias = bias - lr * grad_bias
-    weights[live], biases[live] = theta, bias
-
-    return [
-        PerceptronModel(
-            weights=weights[i],
-            bias=float(biases[i]),
-            train_loss_trace=tuple(losses[: epochs_run[i], i].tolist()),
-        )
-        for i in range(k)
-    ]
+    for j, i in enumerate(live):
+        models[i] = PerceptronModel(theta[j], float(bias[j]), tuple(traces[i]))
+    return models
 
 
 def score(model: PerceptronModel, store: EmbeddingStore, rows) -> np.ndarray:
@@ -204,28 +165,18 @@ def loss_and_gradient(X, y, theta, bias, l2: float = 0.0):
     """Mean cross-entropy plus `l2 * |theta|^2`, and its analytic gradient
     w.r.t. (theta, bias).
 
-    The one loss `train` descends; the tests check it against finite
-    differences. X, y and theta are float64 arrays.
+    The one loss every fit descends, for one model (X (m, d), y (m,), theta
+    (d,), a number as bias; numpy float scalars out) or for a stack of K (X
+    (K, m, d), y (K, m) or (m,), theta (K, d), bias (K,); one value per
+    model out). A stack's slice takes the same BLAS calls and reductions as
+    its one-model call, so its results are bitwise that call's. The tests
+    check it against finite differences. X, y and theta are float64 arrays.
     """
-    z = X @ theta + bias
-    loss = float(cross_entropy(z, y))
-    resid = sigmoid(z) - y
-    grad_theta = X.T @ resid / len(y)
-    if l2 > 0.0:
-        loss += l2 * float(theta @ theta)
-        grad_theta = grad_theta + 2.0 * l2 * theta
-    return loss, grad_theta, float(np.mean(resid))
-
-
-def _stacked_loss_and_gradient(X, y, theta, bias, l2: float):
-    """`loss_and_gradient` of K models at once: X (K, m, d), theta (K, d),
-    bias (K,). Every slice takes the operations of the serial function in
-    the same order, so its results are bitwise the serial ones."""
-    z = (X @ theta[:, :, None])[:, :, 0] + bias[:, None]
+    z = (X @ theta[..., None])[..., 0] + np.asarray(bias)[..., None]
     loss = cross_entropy(z, y)
     resid = sigmoid(z) - y
-    grad_theta = (np.swapaxes(X, 1, 2) @ resid[:, :, None])[:, :, 0] / len(y)
+    grad_theta = (X.swapaxes(-1, -2) @ resid[..., None])[..., 0] / y.shape[-1]
     if l2 > 0.0:
-        loss = loss + l2 * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0]
+        loss = loss + l2 * (theta[..., None, :] @ theta[..., :, None])[..., 0, 0]
         grad_theta = grad_theta + 2.0 * l2 * theta
-    return loss, grad_theta, np.mean(resid, axis=1)
+    return loss, grad_theta, np.add.reduce(resid, axis=-1) / y.shape[-1]

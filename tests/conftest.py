@@ -1,7 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conceptlearn import EmbeddingStore, random_gaussian_embedding
+
+# To report a failing example, hypothesis's pytest plugin imports its patch
+# module, which imports libcst when that is installed; libcst then raises a
+# DeprecationWarning from mypy_extensions, which `-W error` turns into a
+# pytest INTERNALERROR that hides the example. Import it once here, for
+# every property test, with that one third-party warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", r"mypy_extensions\.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: the plugin skips the patch
+        pass
 
 
 @pytest.fixture(autouse=True)

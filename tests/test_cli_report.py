@@ -1010,6 +1010,28 @@ def test_a_directory_as_an_input_file_is_input_error(
     assert not (tmp_path / "g.txt").exists()
 
 
+@pytest.mark.parametrize("entry", ["embedding 'gauss'", "concept 'beta'"])
+@pytest.mark.parametrize("names", [["eval"], ["null"], ["compare", "gauss", "gauss"]])
+def test_a_directory_named_in_a_manifest_is_input_error(
+    workspace, tmp_path, monkeypatch, capsys, names, entry
+):
+    from conceptlearn import cli
+
+    ws, manifest = workspace
+    d = ws / "adir"
+    d.mkdir()
+    key = entry.split("'")[1]
+    text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {d}", manifest.read_text())
+    manifest.write_text(text)
+    loads = []
+    monkeypatch.setattr(cli, "load_cached", loads.append)
+    out = tmp_path / "o"
+    assert main([names[0], str(manifest), *names[1:], "--out", str(out)]) == 1
+    assert loads == []
+    assert capsys.readouterr() == ("", f"error: {entry}: {d}: Is a directory\n")
+    assert not out.exists()
+
+
 def test_gen_random_embedding_zero_words_is_input_error(tmp_path, capsys):
     assert main(["gen-random-embedding", str(tmp_path / "g.txt"), "--words", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")

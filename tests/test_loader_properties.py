@@ -1,27 +1,15 @@
-"""Property test of the vector-file loader: on generated files, at a random
+"""Property tests of the vector-file loader. On generated files, at a random
 BLOCK_BYTES, `load_embedding` gives what the per-line oracle
 `_reference_load` gives: the same words, vector bytes and duplicate count,
-or the same `path:line:` error."""
+or the same `path:line:` error. And `load_cached` gives what
+`load_embedding` gives, on a miss and on the hit that follows it."""
 
-import warnings
+import tempfile
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-
-# To report a failing example, hypothesis's pytest plugin imports its patch
-# module, which imports libcst when that is installed; libcst then raises a
-# DeprecationWarning from mypy_extensions, which `-W error` turns into a
-# pytest INTERNALERROR that hides the example. Import it once here with
-# that one third-party warning ignored.
-with warnings.catch_warnings():
-    warnings.filterwarnings("ignore", r"mypy_extensions\.TypedDict is deprecated",
-                            DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:  # libcst is not installed: the plugin skips the patch
-        pass
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -104,3 +92,31 @@ def test_block_loader_matches_line_loop_on_generated_files(
         assert _outcome(lambda: _block_load(spec)) == _outcome(lambda: _reference_load(spec))
     finally:
         embeddings.BLOCK_BYTES = saved
+
+
+
+def _cached_load(spec):
+    """`_block_load` through the cache, and whether the matrix is writable:
+    a hit maps its entry's matrix read-only."""
+    store = embeddings.load_cached(spec)
+    return (store.vocabulary, store.vectors, store.skipped_duplicates,
+            store.vectors.flags.writeable)
+
+
+@settings(max_examples=100, deadline=1000, derandomize=True, database=None)
+@given(data=vector_files(), lowercase=st.booleans())
+def test_load_cached_matches_load_embedding_on_a_miss_and_a_hit(
+    vector_path, data, lowercase
+):
+    vector_path.write_bytes(data)
+    spec = EmbeddingSourceSpec(path=str(vector_path), lowercase=lowercase)
+    want = _outcome(lambda: _block_load(spec))
+    # a cache root of this example's own, so that the first load misses
+    with tempfile.TemporaryDirectory(dir=vector_path.parent) as cache, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", cache)
+        miss, hit = (_outcome(lambda: _cached_load(spec)) for _ in range(2))
+    if want[0] == "error":  # nothing is written, so both loads parse
+        assert miss == hit == want
+    else:
+        assert (miss, hit) == (want + (True,), want + (False,))

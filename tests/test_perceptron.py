@@ -226,6 +226,18 @@ def test_gradient_matches_finite_differences():
             lm, _, _ = loss_and_gradient(X, y, theta, bias - step, l2)
             fd = (lp - lm) / (2 * step)
             assert abs(g_bias - fd) <= 1e-5 * max(1.0, abs(fd))
+            # a stack of this model and two more: each slice is bitwise its
+            # one-model call, with the labels shared or one row per model
+            Xs = np.stack([X, *rng.normal(size=(2, n, d))])
+            thetas = np.stack([theta, *rng.normal(scale=0.5, size=(2, d))])
+            biases = np.array([bias, *rng.normal(scale=0.5, size=2)])
+            for labels in (y, np.tile(y, (3, 1))):
+                stacked = loss_and_gradient(Xs, labels, thetas, biases, l2)
+                for k in range(3):
+                    one = loss_and_gradient(Xs[k], y, thetas[k], float(biases[k]), l2)
+                    assert isinstance(one[0], float) and isinstance(one[2], float)
+                    for a, b in zip(stacked, one):
+                        assert np.asarray(a[k]).tobytes() == np.asarray(b).tobytes()
 
 
 def test_scale_coupling_preserves_ordering():
@@ -269,6 +281,39 @@ STACK_CONFIGS = (
 )
 
 
+def reference_train(split, store, cfg):
+    """The serial trainer and its 2-D loss as they were before one
+    `loss_and_gradient` served every stack shape: the bitwise oracle of
+    `train` and `train_many`."""
+    X = store.gather(split.train_rows)
+    y = split.train_labels()
+    theta, bias, lr = np.zeros(X.shape[1]), 0.0, cfg.learning_rate
+    trace, prev = [], None
+    for epoch in range(cfg.epochs):
+        z = X @ theta + bias
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        resid = sigmoid(z) - y
+        grad_theta = X.T @ resid / len(y)
+        if cfg.l2 > 0.0:
+            loss += cfg.l2 * float(theta @ theta)
+            grad_theta = grad_theta + 2.0 * cfg.l2 * theta
+        grad_bias = float(np.mean(resid))
+        if not np.isfinite(loss):
+            raise FloatingPointError(
+                f"non-finite training loss at epoch {epoch} (learning rate {lr})"
+            )
+        trace.append(loss)
+        if prev is not None:
+            if loss > prev:
+                lr *= 0.5
+            elif prev - loss < cfg.early_stop_tol:
+                break
+        prev = loss
+        theta = theta - lr * grad_theta
+        bias = bias - lr * grad_bias
+    return PerceptronModel(weights=theta, bias=bias, train_loss_trace=tuple(trace))
+
+
 @pytest.mark.parametrize("n", [5, 54, 101])
 def test_train_many_bitwise_equals_train(n):
     vocab = [f"w{i:03d}" for i in range(2 * n + 40)]
@@ -277,17 +322,20 @@ def test_train_many_bitwise_equals_train(n):
     splits = [make_split(rc, store, i, 5) for i in range(7)]
     halved = stopped_apart = False
     for cfg in STACK_CONFIGS:
-        serial = [train(s, store, cfg) for s in splits]
-        for a in serial:
+        reference = [reference_train(s, store, cfg) for s in splits]
+        for a in reference:
             halved |= bool(np.any(np.diff(a.train_loss_trace) > 0))
-        stopped_apart |= len({a.epochs_run for a in serial}) > 1
-        for k in (1, 3, len(splits)):
-            stacked = []
-            for i in range(0, len(splits), k):
-                stacked += train_many(splits[i : i + k], store, cfg)
-            assert len(stacked) == len(serial)
-            for a, b in zip(serial, stacked):
-                assert_same_model(a, b)
+        stopped_apart |= len({a.epochs_run for a in reference}) > 1
+        for a, split in zip(reference, splits):
+            assert_same_model(a, train(split, store, cfg))
+        for order in (slice(None), slice(None, None, -1)):
+            for k in (1, 3, len(splits)):
+                stacked = []
+                for i in range(0, len(splits), k):
+                    stacked += train_many(splits[order][i : i + k], store, cfg)
+                assert len(stacked) == len(splits)
+                for a, b in zip(reference[order], stacked):
+                    assert_same_model(a, b)
     assert halved and stopped_apart
 
 
@@ -296,10 +344,11 @@ def test_train_many_raises_on_non_finite_loss(gaussian_store):
     huge = store_from(gaussian_store.vocabulary, gaussian_store.vectors * 1e200)
     rc = random_concept(huge, 10, seed=3)
     splits = [make_split(rc, huge, i, 0) for i in range(3)]
-    message = "non-finite training loss at epoch 1"
+    message = r"^non-finite training loss at epoch 1 \(learning rate 0\.1\)$"
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match=message):
-            train(splits[0], huge, TrainConfig())
+        for fit in (reference_train, train):
+            with pytest.raises(FloatingPointError, match=message):
+                fit(splits[0], huge, TrainConfig())
         with pytest.raises(FloatingPointError, match=message):
             train_many(splits, huge, TrainConfig())
 

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import rankdata
 
 from conceptlearn import critical_value, wilcoxon_signed_rank
 from conceptlearn.stats import (
+    EXACT_LIMIT,
     PUBLISHED_FASTTEXT_AUCS,
     PUBLISHED_GLOVE_AUCS,
     null_distribution_counts,
@@ -48,15 +50,30 @@ def test_zero_pair_dropped():
     assert out.p_value == 1 / 4
 
 
-def test_antisymmetry():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=8)
-    y = rng.normal(size=8)
-    a = wilcoxon_signed_rank(x, y, "greater")
-    b = wilcoxon_signed_rank(y, x, "less")
-    assert a.w_plus == b.w_minus
-    assert a.w_minus == b.w_plus
-    assert a.p_value == b.p_value
+# AUC-like values: quarters, so that differences tie and vanish, and floats
+_VALUES = st.one_of(st.integers(0, 4).map(lambda k: k / 4), st.floats(0, 1))
+
+
+# derandomized, so a run is reproducible; failing examples are not saved
+@settings(max_examples=300, deadline=1000, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(_VALUES, _VALUES), min_size=2, max_size=60))
+# 48 nonzero differences with tied ranks: the normal branch
+@example(pairs=[(k % 5 / 4, 1.0 - k % 3 / 4) for k in range(60) if k % 5 + k % 3 != 4])
+@example(pairs=[(0.0, 1.0), (0.25, 0.0)])  # the smallest exact case
+def test_antisymmetry(pairs):
+    """Swapping a and b swaps W+ and W-, and swaps `greater` and `less`;
+    the p-value stays the same, also under `two-sided`."""
+    a, b = map(list, zip(*pairs))
+    assume(a != b)
+    for alt, mirror in (("greater", "less"), ("less", "greater"),
+                        ("two-sided", "two-sided")):
+        out, swapped = wilcoxon_signed_rank(a, b, alt), wilcoxon_signed_rank(b, a, mirror)
+        assert (out.w_plus, out.w_minus) == (swapped.w_minus, swapped.w_plus)
+        assert out.w_statistic == swapped.w_statistic
+        assert out.p_value == swapped.p_value
+        assert out.method == swapped.method == (
+            "exact" if out.n_effective <= EXACT_LIMIT else "normal"
+        )
 
 
 def test_rank_sum_identity():
