@@ -27,7 +27,6 @@ from .experiment import (
     empirical_p_value,
     format_p_value,
     run_concept,
-    run_iteration,
     run_null,
 )
 from .metrics import (
@@ -81,7 +80,6 @@ __all__ = [
     "resolve",
     "roc_auc",
     "run_concept",
-    "run_iteration",
     "run_null",
     "save_embedding",
     "score",

@@ -1,10 +1,12 @@
 """Monte-Carlo orchestration: repeated split/train/test runs per concept,
 random-list null distributions, and empirical p-values.
 
-A concept's iterations are trained in stacks (`perceptron.train_many`, bitwise
-equal to one-by-one training) sized by the concept and embedding alone. Each
-stack and each null list is a task seeded from the master seed, so tasks and
-results are identical whatever the worker count; aggregation is keyed by task.
+Every list, a concept or a random list, is cut into tasks of consecutive
+iterations holding at most TASK_BYTES of training rows, and each task trains
+its fits in stacks of at most `perceptron.STACK_BYTES` (`train_many`, bitwise
+equal to one-by-one training). Both cuts depend on the list's size and the
+embedding's dimension alone, so tasks and results are identical whatever the
+worker count; aggregation is in task order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import multiprocessing as mp
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -65,64 +69,58 @@ class NullDistribution:
     list_size: int
 
 
-def run_iteration(
-    store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, index: int
-) -> MetricsRecord:
-    """One split/train/score/metrics pass."""
-    return _run_fits(store, resolved, cfg, [index])[0]
+# Float64 training rows a task holds at most. A list's iterations are cut
+# into runs of at most TASK_BYTES // fit_bytes, a length set by the list's
+# size and the dimension alone; at d = 300 a 400-word list runs 1000
+# iterations as 15 tasks of 66-67.
+TASK_BYTES = 64 * 1024 * 1024
 
 
-def _stacks(store: EmbeddingStore, resolved: ResolvedConcept, iterations: int):
-    """A concept's iterations as training stacks, range(0, k), range(k, 2k),
-    ..., with k = `stack_size`: the one grouping at every worker count."""
-    k = stack_size(2 * train_positives(resolved.size), store.dimension)
-    return [range(i, min(i + k, iterations)) for i in range(0, iterations, k)]
+def _cut(run, k: int) -> list:
+    """`run` cut into ceil(len(run) / k) consecutive slices, near-equal and
+    each at most k long."""
+    n, parts = len(run), -(-len(run) // k)
+    return [run[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
 
 
 def _run_fits(
-    store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, stack
+    store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, run
 ) -> list[MetricsRecord]:
-    """Split, train and score the fits of one stack of iterations. A stack
-    that fails is trained again one fit at a time from the same splits, so
-    the error raised is the serial one."""
-    splits = [make_split(resolved, store, i, cfg.master_seed) for i in stack]
-    models = None
-    if len(splits) > 1:
-        try:
-            models = train_many(splits, store, cfg.train)
-        except (FloatingPointError, ValueError):
-            pass  # retrained one at a time below
+    """Split, train and score the iterations `run`, in stacks of
+    `stack_size`. A stack that fails is trained again one fit at a time from
+    the same splits, so the error raised is the serial one."""
     records = []
-    for j, split in enumerate(splits):
-        try:
-            model = train(split, store, cfg.train) if models is None else models[j]
-            scores = score(model, store, split.test_rows)
-            records.append(evaluate_scores(scores, split.test_labels(), cfg.threshold))
-        except Exception as exc:
-            raise RuntimeError(
-                f"iteration {split.iteration_index} of concept "
-                f"{resolved.concept.name!r} failed: {exc}"
-            ) from exc
+    k = stack_size(2 * train_positives(resolved.size), store.dimension)
+    for stack in _cut(run, k):
+        splits = [make_split(resolved, store, i, cfg.master_seed) for i in stack]
+        models = None
+        if len(splits) > 1:
+            try:
+                models = train_many(splits, store, cfg.train)
+            except (FloatingPointError, ValueError):
+                pass  # retrained one at a time below
+        for j, split in enumerate(splits):
+            try:
+                model = train(split, store, cfg.train) if models is None else models[j]
+                scores = score(model, store, split.test_rows)
+                records.append(evaluate_scores(scores, split.test_labels(), cfg.threshold))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"iteration {split.iteration_index} of concept "
+                    f"{resolved.concept.name!r} failed: {exc}"
+                ) from exc
     return records
 
 
-# A pool worker's (store, concepts, cfg), appended by the pool's initializer.
-# The pool forks, so the store reaches it as shared pages.
+# A pool worker's (store, lists, cfg), appended by the pool's initializer.
+# The pool forks, so the store and the lists reach it as shared pages.
 _WORK: list = []
 
 
-def _run_task(task: tuple, work=None):
-    """("iter", c, stack) -> that stack's records of concept c; ("null",
-    k) -> the metric means of random list k, trained stack by stack."""
-    store, concepts, cfg = work or _WORK[0]
-    if task[0] == "iter":
-        return _run_fits(store, concepts[task[1]], cfg, task[2])
-    rc = random_concept(
-        store, cfg.random_list_size, seed=cfg.master_seed, name=f"random-{task[1]:04d}"
-    )
-    records = [r for stack in _stacks(store, rc, cfg.iterations)
-               for r in _run_fits(store, rc, cfg, stack)]
-    return _aggregate(rc, records).means
+def _run_task(task: tuple, work=None) -> list[MetricsRecord]:
+    """(c, run) -> the records of list c's iterations `run`."""
+    store, lists, cfg = work or _WORK[0]
+    return _run_fits(store, lists[task[0]], cfg, task[1])
 
 
 def default_workers() -> int:
@@ -136,41 +134,46 @@ def default_workers() -> int:
 def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
                   null: bool = False, workers: int = 1):
     """Run `concepts` (ResolvedConcepts) and, with `null`, the null on one
-    store as one list of keyed tasks, ("iter", c, stack) per training stack
-    of concept c and ("null", k) per random list, the same at any worker
-    count, on one fork pool of at most one worker per task that hands out
-    one task at a time, or in order on one worker. Returns the
-    AggregateResults and NullDistribution (None without `null`), keyed by
-    task. An oversize random list raises before any fit."""
+    store as one task list, the same at any worker count: (c, run) for each
+    run of list c's iterations (`_cut` at TASK_BYTES of training rows), the
+    concepts first, then the random lists, drawn here before any worker
+    forks. It runs on one fork pool of at most one worker per task that
+    hands out one task at a time, or in order on one worker. Outputs are
+    read in task order, and each list is aggregated as its last run
+    arrives, a random list down to its means. Returns the AggregateResults
+    and NullDistribution (None without `null`). An oversize random list
+    raises before any fit."""
     if null:
         check_vocabulary_size(cfg.random_list_size, len(store))
     if cfg.normalize:
         store = normalize(store)
-    work = (store, concepts, cfg)
-    stacks = [_stacks(store, rc, cfg.iterations) for rc in concepts]
-    tasks = [("iter", c, stack) for c, cs in enumerate(stacks) for stack in cs]
-    tasks += [("null", k) for k in range(cfg.random_list_count if null else 0)]
+    lists = [*concepts] + [
+        random_concept(store, cfg.random_list_size, seed=cfg.master_seed,
+                       name=f"random-{k:04d}")
+        for k in range(cfg.random_list_count if null else 0)
+    ]
+    work, d = (store, lists, cfg), store.dimension
+    tasks = [(c, run) for c, rc in enumerate(lists) for run in _cut(
+        range(cfg.iterations), stack_size(2 * train_positives(rc.size), d, TASK_BYTES))]
     workers = min(workers, len(tasks))
     if workers > 1 and "fork" not in mp.get_all_start_methods():
         warnings.warn("cannot fork worker processes here; running on 1 worker",
                       RuntimeWarning)
         workers = 1
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp.get_context("fork"),
-            initializer=_WORK.append, initargs=(work,),
-        ) as pool:
-            outputs = list(pool.map(_run_task, tasks))
-    else:
-        outputs = [_run_task(task, work) for task in tasks]
-    done = dict(zip(tasks, outputs))
-    aggregates = [
-        _aggregate(rc, [r for stack in stacks[c] for r in done["iter", c, stack]])
-        for c, rc in enumerate(concepts)
-    ]
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=mp.get_context("fork"),
+        initializer=_WORK.append, initargs=(work,),
+    ) if workers > 1 else None
+    results = []
+    with pool or nullcontext():
+        outputs = pool.map(_run_task, tasks) if pool else map(_run_task, tasks, repeat(work))
+        # a list's tasks are consecutive, so each group is one whole list
+        for c, runs in groupby(zip(tasks, outputs), key=lambda done: done[0][0]):
+            result = _aggregate(lists[c], [r for _, records in runs for r in records])
+            results.append(result if c < len(concepts) else result.means)
+    aggregates, per_list = results[:len(concepts)], results[len(concepts):]
     if not null:
         return aggregates, None
-    per_list = [done["null", k] for k in range(cfg.random_list_count)]
     max_row = {k: max(m[k] for m in per_list) for k in METRIC_NAMES}
     mean_row = {k: float(np.mean([m[k] for m in per_list])) for k in METRIC_NAMES}
     return aggregates, NullDistribution(

@@ -255,8 +255,8 @@ def test_one_pool_per_loaded_embedding_and_the_same_reports_at_any_worker_count(
 
     from conceptlearn import experiment
 
-    # tasks per embedding: one training stack per concept (the 4 iterations
-    # of a 10- or 8-word list stack together at d <= 6), one per null list
+    # tasks per embedding: one per list, a concept or a null list (at d <= 6
+    # a list's 4 iterations hold far less than a task's training bytes)
     tasks = {"eval": 2 + 3, "null": 3, "compare": 2}[command]
 
     pools = []

@@ -14,9 +14,9 @@ from conceptlearn import (
     random_concept,
     random_gaussian_embedding,
     run_concept,
-    run_iteration,
     run_null,
 )
+from conceptlearn import experiment
 from conftest import normalized_copy
 
 
@@ -24,8 +24,6 @@ from conftest import normalized_copy
 def pools(monkeypatch):
     """The size of each process pool `run_embedding` starts (`sizes`) and
     the work items submitted to them (`items`); the pools still fork."""
-    from conceptlearn import experiment
-
     log = SimpleNamespace(sizes=[], items=0)
 
     class CountingPool(ProcessPoolExecutor):
@@ -45,11 +43,14 @@ def run_twice(store, rc, cfg, workers):
     """The records of concept `rc` run twice as two concepts of one task
     list: at d = 8 a small concept is one stack, so one task, and it takes
     two for 2 workers to fork a pool."""
-    from conceptlearn import experiment
-
     first, second = experiment.run_embedding(store, cfg, [rc, rc], workers=workers)[0]
     assert first.records == second.records
     return first.records
+
+
+def one_fit(store, rc, cfg, index):
+    """The record of iteration `index` of concept `rc`, trained alone."""
+    return experiment._run_fits(store, rc, cfg, [index])[0]
 
 
 def quick_cfg(**kw):
@@ -69,7 +70,7 @@ def test_single_iteration_equals_aggregate(gaussian_store):
     rc = random_concept(gaussian_store, 12, seed=1, name="c12")
     agg = run_concept(gaussian_store, rc, cfg)
     assert len(agg.records) == 1
-    rec = run_iteration(gaussian_store, rc, cfg, 0)
+    rec = one_fit(gaussian_store, rc, cfg, 0)
     for name, mean in agg.means.items():
         assert mean == getattr(rec, name)
         assert agg.stds[name] == 0.0
@@ -86,14 +87,17 @@ def test_aggregate_shape(gaussian_store):
         assert 0.0 <= v <= 1.0
 
 
-def test_run_concept_worker_independence(pools):
-    # d = 300: the 54-word concept's 50 iterations are stacks of 16, 16, 16, 2
+def test_run_concept_worker_independence(pools, monkeypatch):
+    # d = 300 and 16 fits a task: the 54-word concept's 50 iterations are
+    # four tasks of 12 or 13, each two stacks (`stack_size` 8)
+    monkeypatch.setattr(experiment, "TASK_BYTES", 16 * 54 * 300 * 8)
     store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
     cfg = quick_cfg(iterations=50)
     rc = random_concept(store, 54, seed=2, name="c54")
     serial = run_concept(store, rc, cfg, workers=1)
     parallel = run_concept(store, rc, cfg, workers=4)
-    assert pools.sizes == [4]  # one stack per worker
+    assert pools.sizes == [4]  # one task per worker
+    assert pools.items == 4
     assert serial.records == parallel.records
     assert serial.means == parallel.means
 
@@ -103,7 +107,7 @@ def test_run_concept_stacked_records_equal_serial_iterations(gaussian_store, poo
     rc = random_concept(gaussian_store, 14, seed=6, name="c14")
     halving = TrainConfig(learning_rate=50, early_stop_tol=1e-3)
     for cfg in (quick_cfg(iterations=11), quick_cfg(iterations=11, train=halving)):
-        serial = tuple(run_iteration(gaussian_store, rc, cfg, i) for i in range(11))
+        serial = tuple(one_fit(gaussian_store, rc, cfg, i) for i in range(11))
         assert run_concept(gaussian_store, rc, cfg).records == serial
         for workers in (1, 2):
             assert run_twice(gaussian_store, rc, cfg, workers) == serial
@@ -131,8 +135,6 @@ LOSS_ERROR = "non-finite training loss at epoch 1 (learning rate 0.1)"
 def test_run_concept_failed_fit_raises_the_serial_error(
     gaussian_store, monkeypatch, pools, scale, train_cfg, message, row, index
 ):
-    from conceptlearn import experiment
-
     scaled = np.ones((len(gaussian_store), 1))
     scaled[slice(None) if row is None else gaussian_store.index[row]] = scale
     store = EmbeddingStore(
@@ -149,9 +151,9 @@ def test_run_concept_failed_fit_raises_the_serial_error(
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(index):
-            run_iteration(store, rc, cfg, i)
+            one_fit(store, rc, cfg, i)
         with pytest.raises(RuntimeError) as serial:
-            run_iteration(store, rc, cfg, index)
+            one_fit(store, rc, cfg, index)
         with pytest.raises(RuntimeError) as stacked:
             with monkeypatch.context() as m:
                 m.setattr(experiment, "make_split", spy)
@@ -176,7 +178,8 @@ def test_run_concept_normalize_flag(gaussian_store):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("dim, size", [(8, 10), (300, 120)])  # stacked, serial fits
+# stacks of many fits, of 3 and of one
+@pytest.mark.parametrize("dim, size", [(8, 10), (300, 120), (600, 120)])
 def test_normalize_on_gather_matches_the_normalized_copy(pools, dtype, dim, size):
     rng = np.random.default_rng(11)
     store = EmbeddingStore(
@@ -252,21 +255,19 @@ def test_run_null_deterministic_across_workers(gaussian_store):
     assert a.per_list == b.per_list
 
 
-def test_the_pool_takes_one_task_at_a_time(pools):
-    """Fourteen one-fit concept stacks, then two null lists of fourteen fits
-    each at the end of the task list: every task is its own work item, so
-    the null lists are not batched onto one worker."""
-    from conceptlearn import experiment
-
+def test_the_pool_takes_one_task_at_a_time(pools, monkeypatch):
+    """A concept, then two null lists at the end of the task list, each cut
+    into seven two-fit tasks: every task is its own work item, so the null
+    lists are not batched onto one worker."""
     # d = 300: a 120-word list trains one fit at a time (`stack_size` 1)
+    monkeypatch.setattr(experiment, "TASK_BYTES", 2 * 120 * 300 * 8)
     store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
     rc = random_concept(store, 120, seed=2, name="c120")
     cfg = quick_cfg(iterations=14, random_list_count=2, random_list_size=120)
-    assert len(experiment._stacks(store, rc, cfg.iterations)) == 14
     serial, serial_null = experiment.run_embedding(store, cfg, [rc], null=True)
     parallel, null = experiment.run_embedding(store, cfg, [rc], null=True, workers=2)
     assert pools.sizes == [2]
-    assert pools.items == 14 + 2
+    assert pools.items == 3 * 7
     assert parallel[0].records == serial[0].records
     assert parallel[0].means == serial[0].means
     assert null.per_list == serial_null.per_list
@@ -274,8 +275,38 @@ def test_the_pool_takes_one_task_at_a_time(pools):
     assert null.mean_row == serial_null.mean_row
 
 
+def test_a_large_concept_trains_in_one_task_of_stacks(monkeypatch):
+    """A 150-word concept at d = 300 (360 KiB of training rows a fit) runs
+    its 20 iterations as one task, in ten stacks of 2."""
+    store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
+    rc = random_concept(store, 150, seed=2, name="c150")
+    cfg = quick_cfg(iterations=20)
+    tasks, stacks = spy_tasks_and_stacks(monkeypatch)
+    serial = [one_fit(store, rc, cfg, i) for i in range(cfg.iterations)]
+    tasks.clear()
+    stacks.clear()
+    assert run_concept(store, rc, cfg, workers=2).records == tuple(serial)
+    assert tasks == [(0, range(20))]
+    assert stacks == [[i, i + 1] for i in range(0, 20, 2)]
+
+
+def test_a_null_list_cut_into_tasks_gives_the_same_null(gaussian_store, pools,
+                                                         monkeypatch):
+    cfg = quick_cfg(iterations=7)
+    whole = run_null(gaussian_store, cfg)  # one task a list
+    # 8 rows of d = 8 a fit, 3 fits a task: runs of 2, 2 and 3 iterations
+    monkeypatch.setattr(experiment, "TASK_BYTES", 3 * 8 * 8 * 8)
+    for workers in (1, 2):
+        cut = run_null(gaussian_store, cfg, workers=workers)
+        assert cut.per_list == whole.per_list
+        assert cut.max_row == whole.max_row
+        assert cut.mean_row == whole.mean_row
+    assert pools.sizes == [2]
+    assert pools.items == cfg.random_list_count * 3
+
+
 def test_an_oversize_random_list_raises_before_any_fit(monkeypatch):
-    from conceptlearn import ConceptError, experiment
+    from conceptlearn import ConceptError
 
     store = random_gaussian_embedding([f"w{i:03d}" for i in range(120)], 4, seed=1)
     rc = random_concept(store, 6, seed=2, name="c")
@@ -357,8 +388,6 @@ class InlinePool:
 
 
 def test_the_pool_is_no_larger_than_its_task_list(gaussian_store, monkeypatch):
-    from conceptlearn import experiment
-
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiment, "_WORK", [])  # what the initializer fills
     monkeypatch.setattr(InlinePool, "sizes", [])
@@ -370,32 +399,65 @@ def test_the_pool_is_no_larger_than_its_task_list(gaussian_store, monkeypatch):
     assert InlinePool.sizes == [3]
 
 
-def test_the_training_stacks_are_the_same_at_any_worker_count(monkeypatch):
-    """A 54-word list at d = 300 trains its 25 iterations as stacks of 16
-    and 9 (`stack_size`), whatever the worker count."""
-    from conceptlearn import experiment
+def spy_tasks_and_stacks(monkeypatch):
+    """Lists that `_run_task` and the trainers, run in this process, append
+    each task and each trained stack's iteration indices to."""
+    tasks, stacks = [], []
 
-    store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
-    rc = random_concept(store, 54, seed=5, name="c54")
-    cfg = quick_cfg(iterations=25)
-    calls = []
+    def spy_task(task, *args, _fn=experiment._run_task):
+        tasks.append(task)
+        return _fn(task, *args)
 
     def spy_many(splits, *args, _fn=experiment.train_many):
-        calls.append([s.iteration_index for s in splits])
+        stacks.append([s.iteration_index for s in splits])
         return _fn(splits, *args)
 
     def spy_one(split, *args, _fn=experiment.train):
-        calls.append([split.iteration_index])
+        stacks.append([split.iteration_index])
         return _fn(split, *args)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiment, "_WORK", [])
+    monkeypatch.setattr(experiment, "_run_task", spy_task)
     monkeypatch.setattr(experiment, "train_many", spy_many)
     monkeypatch.setattr(experiment, "train", spy_one)
+    return tasks, stacks
+
+
+def test_the_training_stacks_are_the_same_at_any_worker_count(monkeypatch):
+    """A 54-word list at d = 300, at 9 fits a task, trains its 25 iterations
+    as tasks of 8, 8 and 9, and those as stacks of at most 8 (`stack_size`),
+    whatever the worker count."""
+    monkeypatch.setattr(experiment, "TASK_BYTES", 9 * 54 * 300 * 8)
+    store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
+    rc = random_concept(store, 54, seed=5, name="c54")
+    cfg = quick_cfg(iterations=25)
+    _, calls = spy_tasks_and_stacks(monkeypatch)
     stacks = {}
     for workers in (1, 2, 3):
         calls.clear()
         run_concept(store, rc, cfg, workers=workers)
         stacks[workers] = list(calls)
-    assert stacks[1] == [list(range(16)), list(range(16, 25))]
+    assert stacks[1] == [list(range(8)), list(range(8, 16)), list(range(16, 20)),
+                         list(range(20, 25))]
     assert stacks[2] == stacks[1] and stacks[3] == stacks[1]
+
+
+def test_the_task_list_is_the_same_at_any_worker_count(gaussian_store, monkeypatch):
+    """Two concepts and the null, at 3 fits of 8 training rows a task: each
+    list's 7 iterations are runs of 2, 2 and 3, the concepts first."""
+    monkeypatch.setattr(experiment, "TASK_BYTES", 3 * 8 * 8 * 8)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    concepts = [random_concept(gaussian_store, 8, seed=s, name=f"c{s}") for s in (1, 2)]
+    cfg = quick_cfg(iterations=7, random_list_count=2)
+    tasks, _ = spy_tasks_and_stacks(monkeypatch)
+    plans = {}
+    for workers in (1, 2, 3):
+        tasks.clear()
+        experiment.run_embedding(gaussian_store, cfg, concepts, null=True,
+                                 workers=workers)
+        plans[workers] = list(tasks)
+    runs = [range(0, 2), range(2, 4), range(4, 7)]
+    assert plans[1] == [(c, run) for c in range(4) for run in runs]
+    assert plans[2] == plans[1] and plans[3] == plans[1]
+    assert InlinePool.sizes == [2, 3]

@@ -354,8 +354,10 @@ def test_train_many_raises_on_non_finite_loss(gaussian_store):
 
 
 def test_stack_size_from_training_matrix_bytes():
-    assert stack_size(54, 300) == 16  # 127 KiB per fit, 2 MiB per stack
-    assert stack_size(108, 300) == 8
-    assert stack_size(110, 300) == 1  # over 256 KiB: train one at a time
-    assert stack_size(400, 300) == 1
-    assert stack_size(2, 1) == 131072
+    assert stack_size(54, 300) == 8  # 127 KiB per fit, 1 MiB per stack
+    assert stack_size(108, 300) == 4
+    assert stack_size(184, 300) == 2
+    assert stack_size(232, 300) == 1  # 544 KiB: train one at a time
+    assert stack_size(400, 300) == 1  # over the budget, still one fit
+    assert stack_size(2, 1) == 65536
+    assert stack_size(400, 300, 64 * 1024 * 1024) == 69  # another budget
