@@ -19,11 +19,12 @@ from .concepts import (
 from .embeddings import (
     EmbeddingParseError,
     EmbeddingSourceSpec,
+    EmbeddingStore,
+    gaussian_blocks,
     load_cached,
     normalize,
     open_utf8,
-    random_gaussian_embedding,
-    save_embedding,
+    write_rows,
 )
 from .experiment import ExperimentConfig, default_workers, run_embedding
 from .stats import wilcoxon_signed_rank
@@ -269,10 +270,22 @@ def cmd_gen_random_embedding(args) -> int:
         width = len(str(args.words - 1))
         vocab = [f"w{i:0{width}d}" for i in range(args.words)]
     try:
-        store = random_gaussian_embedding(vocab, args.dim, args.seed, name="gaussian")
+        blocks = gaussian_blocks(len(vocab), args.dim, args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    save_embedding(normalize(store) if args.normalize else store, args.out_file)
+    # one block of rows at a time: a row's norm and its division are
+    # row-local, so each block writes the bytes of the whole store
+    fh = open(args.out_file, "w", encoding="utf-8")
+    try:
+        with fh:
+            for start, block in blocks:
+                words = tuple(vocab[start : start + len(block)])
+                store = EmbeddingStore(name="gaussian", vocabulary=words, vectors=block)
+                write_rows(normalize(store) if args.normalize else store, fh)
+    except BaseException:
+        if os.path.isfile(args.out_file):  # the partial file, not a device
+            os.unlink(args.out_file)
+        raise
     return 0
 
 

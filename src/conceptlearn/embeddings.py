@@ -16,8 +16,8 @@ import numpy as np
 
 
 # text read per np.loadtxt call when parsing a vector file, and float64
-# bytes per row chunk of the whole-matrix passes (finiteness, norms); larger
-# blocks parse no faster and raise peak memory
+# bytes per row chunk of the whole-matrix passes (finiteness, norms, saving)
+# and of a Gaussian draw; larger blocks parse no faster and raise peak memory
 BLOCK_BYTES = 1 << 20
 
 # bump when the layout of a `load_cached` entry changes: old entries then
@@ -382,15 +382,21 @@ def open_utf8(path: str, error: type[Exception]):
 def save_embedding(store: EmbeddingStore, path: str) -> None:
     """Write the store's rows as `gather` reads them (unit rows for a
     normalized store) to a text vector file, 12 significant digits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_rows(store, fh)
+
+
+def write_rows(store: EmbeddingStore, fh) -> None:
+    """Write the store's `word v1 ... vd` lines, as `save_embedding` does, to
+    the open text file `fh`."""
     # per-row tolist() gives the digits of per-value formatting without a
     # whole-matrix list of Python floats in memory
     fmt = " ".join(["%.12g"] * store.dimension)
-    with open(path, "w", encoding="utf-8") as fh:
-        for start, chunk in _row_chunks(store.vectors):
-            stop = start + len(chunk)
-            rows = store.gather(slice(start, stop))
-            for word, row in zip(store.vocabulary[start:stop], rows):
-                fh.write(word + " " + fmt % tuple(row.tolist()) + "\n")
+    for start, chunk in _row_chunks(store.vectors):
+        stop = start + len(chunk)
+        rows = store.gather(slice(start, stop))
+        for word, row in zip(store.vocabulary[start:stop], rows):
+            fh.write(word + " " + fmt % tuple(row.tolist()) + "\n")
 
 
 def normalize(store: EmbeddingStore) -> EmbeddingStore:
@@ -421,9 +427,14 @@ def _row_chunks(mat: np.ndarray):
     """(first row, row slice) pairs covering `mat`, each slice about
     BLOCK_BYTES as float64, so a pass over the matrix allocates no
     matrix-sized temporary."""
-    step = max(1, BLOCK_BYTES // (8 * max(1, mat.shape[1])))
+    step = _chunk_rows(mat.shape[1])
     for start in range(0, len(mat), step):
         yield start, mat[start : start + step]
+
+
+def _chunk_rows(dimension: int) -> int:
+    """Rows of a `_row_chunks` chunk: about BLOCK_BYTES of float64, at least 1."""
+    return max(1, BLOCK_BYTES // (8 * max(1, dimension)))
 
 
 def _row_norms(mat: np.ndarray) -> np.ndarray:
@@ -444,6 +455,24 @@ def _first_nonfinite_row(mat: np.ndarray) -> int | None:
     return None
 
 
+def gaussian_blocks(rows: int, dimension: int, seed: int):
+    """The rows x dimension N(0, 1) matrix of `random_gaussian_embedding`,
+    drawn one block at a time: an iterator of (first row, float64 block)
+    pairs of consecutive rows, with the step of `_row_chunks`, each drawn
+    from the one `stream(seed)` as it is asked for. The blocks stacked are
+    bitwise the matrix one whole draw gives. No rows or a dimension below 1
+    raise ValueError here, before the first draw."""
+    if rows < 1:
+        raise ValueError("vocabulary must be non-empty")
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
+    rng, step = stream(seed), _chunk_rows(dimension)
+    return (
+        (start, rng.standard_normal((min(step, rows - start), dimension)))
+        for start in range(0, rows, step)
+    )
+
+
 def random_gaussian_embedding(
     vocabulary, dimension: int, seed: int, name: str = "gaussian"
 ) -> EmbeddingStore:
@@ -453,9 +482,8 @@ def random_gaussian_embedding(
     (vocabulary, dimension, seed) gives a bitwise-identical matrix.
     """
     vocab = tuple(vocabulary)
-    if not vocab:
-        raise ValueError("vocabulary must be non-empty")
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    mat = stream(seed).standard_normal((len(vocab), dimension))
+    blocks = gaussian_blocks(len(vocab), dimension, seed)
+    mat = np.empty((len(vocab), dimension))
+    for start, block in blocks:
+        mat[start : start + len(block)] = block
     return EmbeddingStore(name=name, vocabulary=vocab, vectors=mat)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -123,6 +124,29 @@ def _run_task(task: tuple, work=None) -> list[MetricsRecord]:
     return _run_fits(store, lists[task[0]], cfg, task[1])
 
 
+# Tasks a pool holds submitted and unread, per worker. Each pending task
+# costs the parent about 2 KB (a Future and a work item), so submitting a
+# paper-scale null's 15,000 tasks at once would hold about 30 MB.
+IN_FLIGHT_PER_WORKER = 4
+
+
+def _in_order(pool, tasks, window: int):
+    """The outputs of `_run_task` over `tasks` on `pool`, in task order,
+    with at most `window` tasks submitted and not yet read. Tasks not yet
+    read are cancelled when a task's error is raised."""
+    pending = deque()
+    try:
+        for task in tasks:
+            pending.append(pool.submit(_run_task, task))
+            if len(pending) >= window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def default_workers() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one (so taskset and cpusets are respected), else the CPU count."""
@@ -138,7 +162,8 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
     run of list c's iterations (`_cut` at TASK_BYTES of training rows), the
     concepts first, then the random lists, drawn here before any worker
     forks. It runs on one fork pool of at most one worker per task that
-    hands out one task at a time, or in order on one worker. Outputs are
+    hands out one task at a time, with at most IN_FLIGHT_PER_WORKER tasks a
+    worker submitted and unread, or in order on one worker. Outputs are
     read in task order, and each list is aggregated as its last run
     arrives, a random list down to its means. Returns the AggregateResults
     and NullDistribution (None without `null`). An oversize random list
@@ -166,7 +191,8 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
     ) if workers > 1 else None
     results = []
     with pool or nullcontext():
-        outputs = pool.map(_run_task, tasks) if pool else map(_run_task, tasks, repeat(work))
+        outputs = (_in_order(pool, tasks, IN_FLIGHT_PER_WORKER * workers) if pool
+                   else map(_run_task, tasks, repeat(work)))
         # a list's tasks are consecutive, so each group is one whole list
         for c, runs in groupby(zip(tasks, outputs), key=lambda done: done[0][0]):
             result = _aggregate(lists[c], [r for _, records in runs for r in records])

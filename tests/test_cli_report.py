@@ -14,11 +14,13 @@ from conceptlearn import (
     ExperimentConfig,
     TrainConfig,
     load_concept,
+    normalize,
     random_concept,
     random_gaussian_embedding,
     resolve,
     run_concept,
     run_null,
+    save_embedding,
 )
 from conceptlearn import report
 from conceptlearn.cli import build_parser, compare_outcome, load_manifest, main
@@ -979,12 +981,98 @@ def test_gen_random_embedding_checks_its_out_file_before_the_draw(
 
     (tmp_path / "file.txt").write_text("")
     draws = []
-    monkeypatch.setattr(cli, "random_gaussian_embedding", lambda *a, **k: draws.append(a))
+    monkeypatch.setattr(cli, "gaussian_blocks", lambda *a, **k: draws.append(a))
     out = str(tmp_path / target)
     reason = f"no directory {os.path.dirname(out)}" if target else "Is a directory"
     assert main(["gen-random-embedding", out, "--words", "30", "--dim", "4"]) == 1
     assert draws == []
     assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+@pytest.mark.parametrize("block_bytes", [8, 2400, 1 << 20])
+@pytest.mark.parametrize("unit", [False, True], ids=["raw", "normalize"])
+def test_gen_random_embedding_writes_the_bytes_of_the_whole_store(
+    tmp_path, monkeypatch, seed, block_bytes, unit
+):
+    """Written a block at a time (250 one-row blocks, 100 + 100 + 50, or
+    one), the file is the whole store's, normalized or not, with `--words`
+    and with `--vocab`."""
+    from conceptlearn import embeddings
+
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("Paris\nLondon\n\nparis\nRome\nOslo\nBern\nLima\nKyiv\n")
+    flags = ["--seed", str(seed)] + ["--normalize"] * unit
+    runs = [(["--words", "250", "--dim", "3"], [f"w{i:03d}" for i in range(250)], 3),
+            (["--vocab", str(vocab), "--dim", "1"],
+             ["paris", "london", "rome", "oslo", "bern", "lima", "kyiv"], 1)]
+    for args, words, dim in runs:
+        out, ref = tmp_path / "g.txt", tmp_path / "ref.txt"
+        assert main(["gen-random-embedding", str(out), *args, *flags]) == 0
+        store = random_gaussian_embedding(words, dim, seed)
+        save_embedding(normalize(store) if unit else store, str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+
+def test_gen_random_embedding_holds_one_block_not_the_matrix():
+    """Peak memory (VmHWM) of a 20,000 x 300 gen over a 2,000 x 300 gen, each
+    in a fresh process: a 20,000 x 300 float64 matrix alone is 48 MB."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM is read from /proc/self/status, which this platform lacks")
+    import conceptlearn
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conceptlearn.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import os, sys, tempfile\n"
+        "from conceptlearn.cli import main\n"
+        "with tempfile.TemporaryDirectory() as d:\n"
+        "    out = os.path.join(d, 'g.txt')\n"
+        "    assert main(['gen-random-embedding', out, '--words', sys.argv[1]]) == 0\n"
+        "print([l.split()[1] for l in open('/proc/self/status')"
+        " if l.startswith('VmHWM:')][0])\n"
+    )
+    peak_kb = {
+        words: int(subprocess.run(
+            [sys.executable, "-c", code, str(words)], env=env, capture_output=True,
+            text=True, check=True, timeout=300,
+        ).stdout)
+        for words in (2_000, 20_000)
+    }
+    assert peak_kb[20_000] - peak_kb[2_000] < 8 * 1024
+
+
+def test_gen_random_embedding_leaves_no_file_on_an_error(tmp_path, monkeypatch, capsys):
+    """A zero row in the second block fails `--normalize` after the first
+    block is written, with exit 2, and the partial file is removed."""
+    from conceptlearn import cli, embeddings
+
+    out = tmp_path / "g.txt"
+
+    def zero_row(*args, _fn=embeddings.gaussian_blocks):
+        for start, block in _fn(*args):
+            if start:
+                block[3] = 0.0
+            yield start, block
+
+    written = []
+
+    def spy(store, fh, _fn=embeddings.write_rows):
+        written.append(len(store))
+        return _fn(store, fh)
+
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2400)  # 100 rows at d = 3
+    monkeypatch.setattr(cli, "gaussian_blocks", zero_row)
+    monkeypatch.setattr(cli, "write_rows", spy)
+    argv = ["gen-random-embedding", str(out), "--words", "250", "--dim", "3"]
+    assert main(argv + ["--normalize"]) == 2
+    assert capsys.readouterr().err == "runtime error: zero vector for word 'w103'\n"
+    assert written == [100]
+    assert not out.exists()
+    assert main(argv) == 0  # unnormalized, a zero row is written
+    assert out.read_text().splitlines()[103] == "w103 0 0 0"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1033,5 +1121,8 @@ def test_a_directory_named_in_a_manifest_is_input_error(
 
 
 def test_gen_random_embedding_zero_words_is_input_error(tmp_path, capsys):
-    assert main(["gen-random-embedding", str(tmp_path / "g.txt"), "--words", "0"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "g.txt"
+    for flags in (["--words", "0"], ["--dim", "0"]):  # before the file is opened
+        assert main(["gen-random-embedding", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

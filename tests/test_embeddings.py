@@ -262,11 +262,33 @@ def test_gaussian_matches_philox_reference(seed):
     assert np.array_equal(store.vectors, reference)
 
 
+@pytest.mark.parametrize("block_bytes", [8, 2400, 1 << 20])
+@pytest.mark.parametrize("rows, dim", [(7, 1), (40, 3), (1000, 300)])
+def test_gaussian_blocks_are_one_draw(monkeypatch, block_bytes, rows, dim):
+    """Blocks of one row, blocks with a short last one and a single block
+    stack to the whole draw of `stream(seed)`, as does the matrix of
+    `random_gaussian_embedding`."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_bytes)
+    reference = embeddings.stream(5).standard_normal((rows, dim))
+    blocks = list(embeddings.gaussian_blocks(rows, dim, 5))
+    step = max(1, block_bytes // (8 * dim))
+    assert [start for start, _ in blocks] == list(range(0, rows, step))
+    assert {len(b) for _, b in blocks[:-1]} <= {step}
+    assert np.concatenate([b for _, b in blocks]).tobytes() == reference.tobytes()
+    store = random_gaussian_embedding([f"w{i}" for i in range(rows)], dim, seed=5)
+    assert store.vectors.tobytes() == reference.tobytes()
+
+
 def test_gaussian_rejects_bad_args():
     with pytest.raises(ValueError):
         random_gaussian_embedding([], 3, seed=0)
     with pytest.raises(ValueError):
         random_gaussian_embedding(["a"], 0, seed=0)
+    # before the first block is asked for
+    with pytest.raises(ValueError, match="^vocabulary must be non-empty$"):
+        embeddings.gaussian_blocks(0, 3, seed=0)
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        embeddings.gaussian_blocks(1, 0, seed=0)
 
 
 def test_store_invariant_checks():

@@ -1,5 +1,5 @@
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -383,8 +383,13 @@ class InlinePool:
     def __exit__(self, *exc):
         pass
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def test_the_pool_is_no_larger_than_its_task_list(gaussian_store, monkeypatch):
@@ -397,6 +402,30 @@ def test_the_pool_is_no_larger_than_its_task_list(gaussian_store, monkeypatch):
         assert run_null(gaussian_store, cfg, workers=8).per_list == serial.per_list
     # one list runs in this process; three lists fork three workers, not 8
     assert InlinePool.sizes == [3]
+
+
+def test_the_pool_holds_a_window_of_tasks_not_the_task_list(
+    gaussian_store, monkeypatch, pools
+):
+    """At one fit a task, a 12-iteration concept and three 12-iteration
+    random lists are 48 tasks. By the time the concept is aggregated a
+    2-worker pool has been handed its 12 tasks and at most a window more,
+    not all 48; the results are those of 1 worker."""
+    monkeypatch.setattr(experiment, "TASK_BYTES", 8 * 8 * 8)  # 8 rows at d = 8
+    rc = random_concept(gaussian_store, 8, seed=1, name="c8")
+    cfg = quick_cfg(iterations=12)
+    serial = experiment.run_embedding(gaussian_store, cfg, [rc], null=True)
+    handed = []
+
+    def spy(*args, _fn=experiment._aggregate):
+        handed.append(pools.items)
+        return _fn(*args)
+
+    monkeypatch.setattr(experiment, "_aggregate", spy)
+    forked = experiment.run_embedding(gaussian_store, cfg, [rc], null=True, workers=2)
+    assert forked == serial
+    assert pools.items == 48
+    assert 12 < handed[0] <= 12 + experiment.IN_FLIGHT_PER_WORKER * 2
 
 
 def spy_tasks_and_stacks(monkeypatch):
