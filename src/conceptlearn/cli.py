@@ -114,12 +114,15 @@ def _command_inputs(args) -> tuple[RunManifest, ExperimentConfig]:
     return manifest, cfg
 
 
-def _make_outdir(path: str) -> None:
-    """Create the report directory: the last check before the first load."""
+def _make_outdir(path: str, filenames) -> None:
+    """Create the report directory and check the reports a command will
+    write there: the last checks before the first load."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise InputError(f"--out {path}: {exc.strerror}") from None
+    for name in filenames:
+        _check_file(os.path.join(path, name))
 
 
 def _file_problem(path: str) -> str | None:
@@ -189,7 +192,8 @@ def cmd_eval(args) -> int:
                 f"unknown format {fmt!r} (choose from {','.join(EVAL_FORMATS)})"
             )
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
-    _make_outdir(args.out)
+    _make_outdir(args.out, [f"{name}-eval.{fmt}" for name, _ in manifest.embeddings
+                            for fmt in formats])
     _preflight([spec for _, spec in manifest.embeddings[1:]], cfg, concepts)
     for name, spec in manifest.embeddings:
         aggregates, null = _run_embedding(spec, cfg, args.workers, concepts)
@@ -203,7 +207,7 @@ def cmd_null(args) -> int:
     manifest, cfg = _command_inputs(args)
     name = args.embedding or manifest.embeddings[0][0]
     spec = manifest.embedding(name)
-    _make_outdir(args.out)
+    _make_outdir(args.out, [f"{name}-null.txt", f"{name}-null.jsonl"])
     _, null = _run_embedding(spec, cfg, args.workers)
     _write(args.out, f"{name}-null.txt", report.null_report_text(name, null, cfg))
     _write(args.out, f"{name}-null.jsonl", report.null_report_jsonl(name, null, cfg))
@@ -217,7 +221,8 @@ def cmd_compare(args) -> int:
         raise InputError(f"{args.manifest}: compare needs at least 2 concepts, "
                          f"got {len(manifest.concepts)}")
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
-    _make_outdir(args.out)
+    filename = f"compare-{args.embedding_a}-{args.embedding_b}.txt"
+    _make_outdir(args.out, [filename])
     _preflight([pair[1][1]], cfg, concepts, null=False)
     aucs = {}
     for name, spec in pair:
@@ -231,7 +236,7 @@ def cmd_compare(args) -> int:
         args.embedding_a, args.embedding_b, names,
         aucs[args.embedding_a], aucs[args.embedding_b], outcome, cfg, note,
     )
-    _write(args.out, f"compare-{args.embedding_a}-{args.embedding_b}.txt", text)
+    _write(args.out, filename, text)
     sys.stdout.write(text)
     return 0
 

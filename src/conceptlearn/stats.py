@@ -8,6 +8,7 @@ critical values read one subset-sum count over doubled ranks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,16 +103,13 @@ def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcom
         cum = np.cumsum(_subset_sum_counts(np.rint(2 * ranks).astype(np.int64)))
         p = float(cum[round(2 * w_stat)]) / 2**n
     else:
-        # imported here so that the CLI, which rarely takes this branch, never
-        # pays for importing scipy; ndtr is the function behind norm.cdf
-        from scipy.special import ndtr
-
         method = "normal"
         mean = n * (n + 1) / 4.0
         _, counts = np.unique(ranks, return_counts=True)
         tie_term = float(np.sum(counts**3 - counts)) / 48.0
         sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
-        p = float(ndtr((w_stat - mean + 0.5) / sd))
+        z = (w_stat - mean + 0.5) / sd
+        p = 0.5 * math.erfc(-z / math.sqrt(2))  # the standard normal cdf at z
     if alternative == "two-sided":
         p = min(1.0, 2.0 * p)
     return WilcoxonOutcome(

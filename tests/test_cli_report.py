@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from conceptlearn import (
     run_concept,
     run_null,
     save_embedding,
+    wilcoxon_signed_rank,
 )
 from conceptlearn import report
 from conceptlearn.cli import build_parser, compare_outcome, load_manifest, main
@@ -281,6 +283,43 @@ def test_one_pool_per_loaded_embedding_and_the_same_reports_at_any_worker_count(
     assert reports[1] and reports[2] == reports[1] and reports[3] == reports[1]
 
 
+def test_eval_reports_survive_a_header_workers_a_task_cut_and_a_save(
+    workspace, tmp_path, monkeypatch
+):
+    """Eval reports are byte-identical with and without a `V d` header line,
+    at 1 and 2 workers, at the default TASK_BYTES and at one of two or
+    three fits, and for the vector file that `save_embedding` writes from
+    the loaded float32 store: all 16 combinations."""
+    from conceptlearn import experiment
+    from conceptlearn.embeddings import EmbeddingSourceSpec, load_embedding
+
+    ws, manifest = workspace
+    emb = ws / "emb.txt"
+    files = {(False, False): emb}
+    saved = ws / "saved.txt"
+    save_embedding(load_embedding(EmbeddingSourceSpec(str(emb), lowercase=True)), str(saved))
+    files[False, True] = saved
+    for source in (emb, saved):
+        headed = ws / f"headed-{source.name}"
+        headed.write_text("120 6\n" + source.read_text())
+        files[True, source == saved] = headed
+    assert saved.read_bytes() != emb.read_bytes()
+    reports = {}
+    for (header, resaved), workers, task_bytes in itertools.product(
+        files, ["1", "2"], [experiment.TASK_BYTES, 1000]
+    ):
+        # 1000 bytes hold 2 training matrices of alpha and beta, 3 of a random list
+        monkeypatch.setattr(experiment, "TASK_BYTES", task_bytes)
+        m = ws / "m.ini"
+        m.write_text(manifest.read_text().replace(str(emb), str(files[header, resaved])))
+        out = tmp_path / f"{header}-{resaved}-{workers}-{task_bytes}"
+        assert main(["eval", str(m)] + quick_args(out) + ["--workers", workers]) == 0
+        reports[out.name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    first = next(iter(reports.values()))
+    assert len(first) == 3
+    assert all(r == first for r in reports.values())
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
 def test_a_cache_miss_and_hit_write_the_same_reports(
@@ -476,6 +515,28 @@ def test_an_unusable_out_fails_before_any_load(
     assert main([command, str(two_embeddings), *names] + quick_args(out)) == 1
     assert loads == []
     assert capsys.readouterr().err == f"error: --out {out}: File exists\n"
+
+
+@pytest.mark.parametrize("command, report_name", [
+    ("eval", "other-eval.jsonl"), ("null", "gauss-null.jsonl"),
+    ("compare", "compare-gauss-other.txt"),
+])
+def test_a_report_path_that_is_a_directory_fails_before_any_load(
+    two_embeddings, tmp_path, monkeypatch, capsys, command, report_name
+):
+    """The command's last report is a directory: it exits 1 before the
+    first load and writes no report."""
+    from conceptlearn import cli
+
+    out = tmp_path / "out"
+    (out / report_name).mkdir(parents=True)
+    loads = []
+    monkeypatch.setattr(cli, "load_cached", loads.append)
+    names = ["gauss", "other"] if command == "compare" else []
+    assert main([command, str(two_embeddings), *names] + quick_args(out)) == 1
+    assert loads == []
+    assert capsys.readouterr().err == f"error: {out / report_name}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == [report_name]
 
 
 @pytest.mark.parametrize("command", ["eval", "null", "compare"])
@@ -733,12 +794,19 @@ def test_non_finite_vector_is_input_error(workspace, tmp_path, capsys, vector_ca
     assert not vector_cache.exists()  # a parse error writes no cache entry
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _src_env():
+    """os.environ with the imported package's source tree first on
+    PYTHONPATH, for a subprocess that imports it."""
     import conceptlearn
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(conceptlearn.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = _src_env()
     code = (
         "import sys, conceptlearn, conceptlearn.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
@@ -748,6 +816,58 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_a_normal_branch_compare_runs_without_scipy(workspace, tmp_path, monkeypatch):
+    """A compare of 24 concepts takes the normal branch, also in a process
+    where `import scipy` fails, and prints the p of scipy's ndtr."""
+    from scipy.special import ndtr
+    from scipy.stats import rankdata
+
+    from conceptlearn import cli
+
+    ws, _ = workspace
+    manifest = _two_embedding_manifest(ws)
+    concepts = ""
+    for k in range(24):
+        (ws / f"c{k}.txt").write_text("".join(f"w{i:03d}\n" for i in range(5 * k, 5 * k + 5)))
+        concepts += f"c{k} = {ws / f'c{k}.txt'}\n"
+    text = manifest.read_text()
+    manifest.write_text(text[: text.index("[concepts]")] + "[concepts]\n" + concepts)
+    pairs = []
+
+    def spy(a, b, alternative):
+        pairs.append((a, b))
+        return wilcoxon_signed_rank(a, b, alternative)
+
+    monkeypatch.setattr(cli, "wilcoxon_signed_rank", spy)
+    argv = ["compare", str(manifest), "gauss", "other"]
+    assert main(argv + quick_args(tmp_path / "in-process")) == 0
+    # the two-sided p from the paired AUCs, as the report's signed-rank test reads them
+    d = np.subtract(*pairs[0])
+    d = d[d != 0.0]
+    n = d.size
+    ranks = rankdata(np.abs(d))
+    _, counts = np.unique(ranks, return_counts=True)
+    sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - np.sum(counts**3 - counts) / 48.0)
+    w = min(ranks[d > 0].sum(), ranks[d < 0].sum())
+    p = min(1.0, 2.0 * float(ndtr((w - n * (n + 1) / 4.0 + 0.5) / sd)))
+    assert n > 20
+
+    env = _src_env()
+    code = ("import sys; sys.modules['scipy'] = None; from conceptlearn.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv, *quick_args(tmp_path / "no-scipy")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "(two-sided, normal)" in out.stdout
+    assert re.search(r" p=(\S+)$", out.stdout, re.M).group(1) == f"{p:.6g}"
+    name = "compare-gauss-other.txt"
+    assert (tmp_path / "no-scipy" / name).read_bytes() == (
+        tmp_path / "in-process" / name
+    ).read_bytes()
 
 
 def _two_embedding_manifest(ws):
@@ -1020,11 +1140,7 @@ def test_gen_random_embedding_holds_one_block_not_the_matrix():
     in a fresh process: a 20,000 x 300 float64 matrix alone is 48 MB."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("VmHWM is read from /proc/self/status, which this platform lacks")
-    import conceptlearn
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(conceptlearn.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     code = (
         "import os, sys, tempfile\n"
         "from conceptlearn.cli import main\n"

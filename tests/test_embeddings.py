@@ -327,7 +327,7 @@ def _reference_load(spec):
     dim = None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
-        if lineno == 1 and embeddings._looks_like_header(line):
+        if lineno == 1 and _is_header(line):
             continue
         if not line.strip():
             continue
@@ -366,6 +366,17 @@ def _reference_load(spec):
             f"{spec.path}:{linenos[bad[0]]}: non-finite vector component"
         )
     return tuple(words), mat, skipped
+
+
+def _is_header(line):
+    """The header rule, restated for the oracle: exactly two tokens, and
+    both integers."""
+    try:
+        count, dim = line.split()
+        int(count), int(dim)
+    except ValueError:
+        return False
+    return True
 
 
 def _outcome(load):
@@ -410,12 +421,17 @@ _ORACLE_CASES = {
     "non-finite-then-bad-token": ("a inf 1\n" + _LINES + "x 1 two\n", {}),
     "bad-token-on-duplicate": (_LINES + "w3 1 two\n", {}),
     "non-finite-on-duplicate": (_LINES + "w3 1 nan\nw4 1e39 1\n", {}),
+    # the error names the file's line, not the row's: duplicates come between
+    "non-finite-after-duplicates": (_LINES + _LINES + "x 1 nan\n", {}),
     "duplicates-after-lowercase": ("Cat 1 2\ncat 3 4\nDOG 5 6\ndog 7 8\n", {"lowercase": True}),
     "case-kept": ("Cat 1 2\ncat 3 4\nDOG 5 6\ndog 7 8\n", {}),
     "header-sniffed": ("8 2\n" + _LINES, {}),
     "header-only": ("8 2\n", {}),
     # a 1-dimensional record of an integer word and value is read as a header
     "one-dim-integer-record-is-a-header": ("5 7\nw 1\nv 2\n", {}),
+    # ... on line 1 only, and a word with one integer value is a record
+    "one-dim-integer-record-on-line-2": ("5 7\n3 4\nw 1\n", {}),
+    "word-and-integer-on-line-1": ("w 1\nv 2\n", {}),
     "empty": ("", {}),
     "blank-lines": ("\n  \n" + _LINES.replace("\n", "\n\t\n"), {}),
     "crlf-trailing-space": (_LINES.replace("\n", " \t\r\n"), {}),

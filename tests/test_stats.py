@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -172,8 +173,8 @@ def test_normal_approximation_matches_scipy():
 
 
 def test_normal_p_value_equals_norm_cdf():
-    # the normal branch imports scipy.special.ndtr lazily; its p-values must
-    # equal the scipy.stats.norm.cdf formula bit for bit
+    # the normal branch takes its tail from the standard library, bit for
+    # bit, and stays within 1e-12 (relative) of scipy's norm.cdf
     from scipy.stats import norm
 
     rng = np.random.default_rng(21)
@@ -187,18 +188,73 @@ def test_normal_p_value_equals_norm_cdf():
         n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(counts**3 - counts)) / 48.0
     )
     w_plus, w_minus = ranks[d > 0].sum(), ranks[d < 0].sum()
-    expected = {
-        "greater": float(norm.cdf((w_minus - mean + 0.5) / sd)),
-        "less": float(norm.cdf((w_plus - mean + 0.5) / sd)),
-        "two-sided": min(
-            1.0, 2.0 * float(norm.cdf((min(w_plus, w_minus) - mean + 0.5) / sd))
-        ),
+    z = {
+        "greater": (w_minus - mean + 0.5) / sd,
+        "less": (w_plus - mean + 0.5) / sd,
+        "two-sided": (min(w_plus, w_minus) - mean + 0.5) / sd,
     }
     assert n > 20
-    for alt, p in expected.items():
+    for alt, zz in z.items():
+        p = math.erfc(-zz / math.sqrt(2)) / 2
+        cdf = float(norm.cdf(zz))
+        if alt == "two-sided":
+            p, cdf = min(1.0, 2.0 * p), min(1.0, 2.0 * cdf)
         out = wilcoxon_signed_rank(d, np.zeros(n), alt)
         assert out.method == "normal"
         assert out.p_value == p, alt
+        assert out.p_value == pytest.approx(cdf, rel=1e-12, abs=0), alt
+
+
+def _one_subset_per_sum(ranks):
+    """One subset of the integer `ranks` per sum that a subset reaches: a
+    boolean matrix with a row per sum, in increasing order of the sums."""
+    ranks = np.rint(ranks).astype(int)
+    subsets = np.zeros((ranks.sum() + 1, len(ranks)), dtype=bool)
+    reach = np.zeros(len(subsets), dtype=bool)
+    reach[0] = True
+    for i, r in enumerate(ranks):
+        new = np.flatnonzero(reach[:-r] & ~reach[r:]) + r  # sums first reached
+        subsets[new] = subsets[new - r]
+        subsets[new, i] = reach[new] = True
+    return subsets[reach]
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_normal_p_value_matches_ndtr_at_every_w(tied):
+    """At every n the normal branch takes, up to 60, and every W that a
+    sign assignment of the ranks reaches, each alternative's p is within
+    1e-12 (relative) of scipy's ndtr of the continuity-corrected z."""
+    from scipy.special import ndtr
+
+    got, expected = [], []
+    for n in range(EXACT_LIMIT + 1, 61):
+        # tied: |d| = 1, 1, 1, 2, 3, 3, 3, 3, 3, 4, ... has the integer ranks
+        # 2, 2, 2, 4, 7, 7, 7, 7, 7, 10, ...
+        size = np.arange(1, n + 1.0)
+        if tied:
+            size = np.concatenate([[1, 1, 1, 2, 3, 3, 3, 3, 3], np.arange(4, n - 5.0)])
+        ranks = rankdata(size)
+        _, counts = np.unique(ranks, return_counts=True)
+        assert (counts > 1).any() == tied
+        sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0
+                     - float(np.sum(counts**3 - counts)) / 48.0)
+        negative = _one_subset_per_sum(ranks)
+        w_minus = negative @ ranks
+        w_plus = ranks.sum() - w_minus
+        tail = {alt: ndtr((w - n * (n + 1) / 4.0 + 0.5) / sd)
+                for alt, w in (("greater", w_minus), ("less", w_plus))}
+        tail["two-sided"] = np.minimum(1.0, 2.0 * tail["greater"])
+        zeros = np.zeros(n)
+        for d, wm, wp, *ps in zip(np.where(negative, -size, size), w_minus, w_plus,
+                                  *tail.values()):
+            # two-sided: each smaller sum once, as W-
+            for alt, p in zip(tail, ps if wm <= wp else ps[:2]):
+                out = wilcoxon_signed_rank(d, zeros, alt)
+                assert out.w_minus == wm and out.method == "normal"
+                got.append(out.p_value)
+                expected.append(p)
+    assert len(got) > 90_000
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_published_auc_pairs_give_w_minus_5():
