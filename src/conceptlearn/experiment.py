@@ -6,7 +6,7 @@ iterations holding at most TASK_BYTES of training rows, and each task trains
 its fits in stacks of at most `perceptron.STACK_BYTES` (`train_many`, bitwise
 equal to one-by-one training). Both cuts depend on the list's size and the
 embedding's dimension alone, so tasks and results are identical whatever the
-worker count; aggregation is in task order.
+worker count; each task returns a metric row per fit, read in task order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .concepts import (
     MIN_RESOLVED_SIZE, ResolvedConcept, check_vocabulary_size, random_concept,
 )
 from .embeddings import EmbeddingStore, normalize
-from .metrics import METRIC_NAMES, MetricsRecord, evaluate_scores
+from .metrics import METRIC_NAMES, evaluate_scores
 from .perceptron import TrainConfig, score, stack_size, train, train_many
 from .splits import make_split, train_positives
 
@@ -52,14 +52,14 @@ class ExperimentConfig:
             raise ValueError("threshold must be a number in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateResult:
     concept_name: str
     resolved_size: int
     raw_size: int
     means: dict[str, float]
     stds: dict[str, float]
-    records: tuple[MetricsRecord, ...]
+    metrics: np.ndarray  # (iterations, len(METRIC_NAMES)), iteration order
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,14 @@ def _cut(run, k: int) -> list:
 
 def _run_fits(
     store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, run
-) -> list[MetricsRecord]:
-    """Split, train and score the iterations `run`, in stacks of
-    `stack_size`. A stack that fails is trained again one fit at a time from
-    the same splits, so the error raised is the serial one."""
-    records = []
+) -> np.ndarray:
+    """Split, train and score the iterations `run` in stacks of `stack_size`:
+    a float64 row of METRIC_NAMES per iteration. A failed stack is retrained
+    one fit at a time from the same splits, so its error is the serial one."""
+    metrics = np.empty((len(run), len(METRIC_NAMES)))
     k = stack_size(2 * train_positives(resolved.size), store.dimension)
-    for stack in _cut(run, k):
-        splits = [make_split(resolved, store, i, cfg.master_seed) for i in stack]
+    for pos in _cut(range(len(run)), k):  # positions in `run`
+        splits = [make_split(resolved, store, run[p], cfg.master_seed) for p in pos]
         models = None
         if len(splits) > 1:
             try:
@@ -104,13 +104,14 @@ def _run_fits(
             try:
                 model = train(split, store, cfg.train) if models is None else models[j]
                 scores = score(model, store, split.test_rows)
-                records.append(evaluate_scores(scores, split.test_labels(), cfg.threshold))
+                fit = evaluate_scores(scores, split.test_labels(), cfg.threshold)
+                metrics[pos[j]] = [getattr(fit, name) for name in METRIC_NAMES]
             except Exception as exc:
                 raise RuntimeError(
                     f"iteration {split.iteration_index} of concept "
                     f"{resolved.concept.name!r} failed: {exc}"
                 ) from exc
-    return records
+    return metrics
 
 
 # A pool worker's (store, lists, cfg), appended by the pool's initializer.
@@ -118,8 +119,8 @@ def _run_fits(
 _WORK: list = []
 
 
-def _run_task(task: tuple, work=None) -> list[MetricsRecord]:
-    """(c, run) -> the records of list c's iterations `run`."""
+def _run_task(task: tuple, work=None) -> np.ndarray:
+    """(c, run) -> the metric rows of list c's iterations `run`."""
     store, lists, cfg = work or _WORK[0]
     return _run_fits(store, lists[task[0]], cfg, task[1])
 
@@ -163,7 +164,7 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
     concepts first, then the random lists, drawn here before any worker
     forks. It runs on one fork pool of at most one worker per task that
     hands out one task at a time, with at most IN_FLIGHT_PER_WORKER tasks a
-    worker submitted and unread, or in order on one worker. Outputs are
+    worker submitted and unread, or in order on one worker. Metric rows are
     read in task order, and each list is aggregated as its last run
     arrives, a random list down to its means. Returns the AggregateResults
     and NullDistribution (None without `null`). An oversize random list
@@ -195,7 +196,7 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
                    else map(_run_task, tasks, repeat(work)))
         # a list's tasks are consecutive, so each group is one whole list
         for c, runs in groupby(zip(tasks, outputs), key=lambda done: done[0][0]):
-            result = _aggregate(lists[c], [r for _, records in runs for r in records])
+            result = _aggregate(lists[c], np.concatenate([rows for _, rows in runs]))
             results.append(result if c < len(concepts) else result.means)
     aggregates, per_list = results[:len(concepts)], results[len(concepts):]
     if not null:
@@ -219,10 +220,9 @@ def run_concept(
     return run_embedding(store, cfg, [resolved], workers=workers)[0][0]
 
 
-def _aggregate(resolved: ResolvedConcept, records) -> AggregateResult:
-    cols = {
-        name: np.array([getattr(r, name) for r in records]) for name in METRIC_NAMES
-    }
+def _aggregate(resolved: ResolvedConcept, metrics: np.ndarray) -> AggregateResult:
+    # a contiguous 1-D column per metric: mean(axis=0) would move last bits
+    cols = dict(zip(METRIC_NAMES, np.ascontiguousarray(metrics.T)))
     means = {name: float(v.mean()) for name, v in cols.items()}
     stds = {
         name: float(v.std(ddof=1)) if v.size > 1 else 0.0 for name, v in cols.items()
@@ -233,7 +233,7 @@ def _aggregate(resolved: ResolvedConcept, records) -> AggregateResult:
         raw_size=resolved.raw_size,
         means=means,
         stds=stds,
-        records=tuple(records),
+        metrics=metrics,
     )
 
 

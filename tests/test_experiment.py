@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from types import SimpleNamespace
@@ -6,15 +7,20 @@ import numpy as np
 import pytest
 
 from conceptlearn import (
+    METRIC_NAMES,
     EmbeddingStore,
     ExperimentConfig,
     TrainConfig,
     empirical_p_value,
+    evaluate_scores,
     format_p_value,
+    make_split,
     random_concept,
     random_gaussian_embedding,
     run_concept,
     run_null,
+    score,
+    train,
 )
 from conceptlearn import experiment
 from conftest import normalized_copy
@@ -39,17 +45,34 @@ def pools(monkeypatch):
     return log
 
 
+def assert_same(a, b):
+    """`a` and `b` are arrays of one shape and the same bytes (`==` would
+    take -0.0 for 0.0)."""
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_aggregate(a, b):
+    """Every field of AggregateResults `a` and `b` equal, the metric arrays
+    bit for bit."""
+    for f in dataclasses.fields(a):
+        if f.name == "metrics":
+            assert_same(a.metrics, b.metrics)
+        else:
+            assert getattr(a, f.name) == getattr(b, f.name)
+
+
 def run_twice(store, rc, cfg, workers):
-    """The records of concept `rc` run twice as two concepts of one task
+    """The metric rows of concept `rc` run twice as two concepts of one task
     list: at d = 8 a small concept is one stack, so one task, and it takes
     two for 2 workers to fork a pool."""
     first, second = experiment.run_embedding(store, cfg, [rc, rc], workers=workers)[0]
-    assert first.records == second.records
-    return first.records
+    assert_same(first.metrics, second.metrics)
+    return first.metrics
 
 
 def one_fit(store, rc, cfg, index):
-    """The record of iteration `index` of concept `rc`, trained alone."""
+    """The metric row of iteration `index` of concept `rc`, trained alone."""
     return experiment._run_fits(store, rc, cfg, [index])[0]
 
 
@@ -69,10 +92,10 @@ def test_single_iteration_equals_aggregate(gaussian_store):
     cfg = quick_cfg(iterations=1)
     rc = random_concept(gaussian_store, 12, seed=1, name="c12")
     agg = run_concept(gaussian_store, rc, cfg)
-    assert len(agg.records) == 1
-    rec = one_fit(gaussian_store, rc, cfg, 0)
-    for name, mean in agg.means.items():
-        assert mean == getattr(rec, name)
+    row = one_fit(gaussian_store, rc, cfg, 0)
+    assert_same(agg.metrics, row[None])
+    for name, value in zip(METRIC_NAMES, row):
+        assert agg.means[name] == value
         assert agg.stds[name] == 0.0
 
 
@@ -80,7 +103,8 @@ def test_aggregate_shape(gaussian_store):
     cfg = quick_cfg()
     rc = random_concept(gaussian_store, 12, seed=1, name="c12")
     agg = run_concept(gaussian_store, rc, cfg)
-    assert len(agg.records) == cfg.iterations
+    assert agg.metrics.shape == (cfg.iterations, len(METRIC_NAMES))
+    assert agg.metrics.dtype == np.float64
     assert agg.concept_name == "c12"
     assert agg.resolved_size == 12
     for v in agg.means.values():
@@ -98,8 +122,7 @@ def test_run_concept_worker_independence(pools, monkeypatch):
     parallel = run_concept(store, rc, cfg, workers=4)
     assert pools.sizes == [4]  # one task per worker
     assert pools.items == 4
-    assert serial.records == parallel.records
-    assert serial.means == parallel.means
+    assert_same_aggregate(serial, parallel)
 
 
 def test_run_concept_stacked_records_equal_serial_iterations(gaussian_store, pools):
@@ -107,10 +130,10 @@ def test_run_concept_stacked_records_equal_serial_iterations(gaussian_store, poo
     rc = random_concept(gaussian_store, 14, seed=6, name="c14")
     halving = TrainConfig(learning_rate=50, early_stop_tol=1e-3)
     for cfg in (quick_cfg(iterations=11), quick_cfg(iterations=11, train=halving)):
-        serial = tuple(one_fit(gaussian_store, rc, cfg, i) for i in range(11))
-        assert run_concept(gaussian_store, rc, cfg).records == serial
+        serial = np.array([one_fit(gaussian_store, rc, cfg, i) for i in range(11)])
+        assert_same(run_concept(gaussian_store, rc, cfg).metrics, serial)
         for workers in (1, 2):
-            assert run_twice(gaussian_store, rc, cfg, workers) == serial
+            assert_same(run_twice(gaussian_store, rc, cfg, workers), serial)
     assert pools.sizes == [2, 2]  # the stack trains in a forked worker too
 
 
@@ -190,7 +213,8 @@ def test_normalize_on_gather_matches_the_normalized_copy(pools, dtype, dim, size
     rc = random_concept(store, size, seed=3, name="c")
     copy = normalized_copy(store)
     for workers in (1, 2):
-        assert run_twice(store, rc, cfg, workers) == run_twice(copy, rc, cfg, workers)
+        assert_same(run_twice(store, rc, cfg, workers),
+                    run_twice(copy, rc, cfg, workers))
     assert pools.sizes == [2, 2]
     assert run_null(store, cfg).per_list == run_null(copy, cfg).per_list
 
@@ -268,8 +292,7 @@ def test_the_pool_takes_one_task_at_a_time(pools, monkeypatch):
     parallel, null = experiment.run_embedding(store, cfg, [rc], null=True, workers=2)
     assert pools.sizes == [2]
     assert pools.items == 3 * 7
-    assert parallel[0].records == serial[0].records
-    assert parallel[0].means == serial[0].means
+    assert_same_aggregate(parallel[0], serial[0])
     assert null.per_list == serial_null.per_list
     assert null.max_row == serial_null.max_row
     assert null.mean_row == serial_null.mean_row
@@ -282,10 +305,10 @@ def test_a_large_concept_trains_in_one_task_of_stacks(monkeypatch):
     rc = random_concept(store, 150, seed=2, name="c150")
     cfg = quick_cfg(iterations=20)
     tasks, stacks = spy_tasks_and_stacks(monkeypatch)
-    serial = [one_fit(store, rc, cfg, i) for i in range(cfg.iterations)]
+    serial = np.array([one_fit(store, rc, cfg, i) for i in range(cfg.iterations)])
     tasks.clear()
     stacks.clear()
-    assert run_concept(store, rc, cfg, workers=2).records == tuple(serial)
+    assert_same(run_concept(store, rc, cfg, workers=2).metrics, serial)
     assert tasks == [(0, range(20))]
     assert stacks == [[i, i + 1] for i in range(0, 20, 2)]
 
@@ -303,6 +326,47 @@ def test_a_null_list_cut_into_tasks_gives_the_same_null(gaussian_store, pools,
         assert cut.mean_row == whole.mean_row
     assert pools.sizes == [2]
     assert pools.items == cfg.random_list_count * 3
+
+
+def test_the_aggregate_reduces_each_metric_of_fits_trained_alone(
+    gaussian_store, pools, monkeypatch
+):
+    """37 iterations of a 12-word list at 13 fits a task run as tasks of 12,
+    12 and 13. At 1 and 2 workers a concept's metric rows are the
+    `evaluate_scores` fields of each iteration trained alone, its means and
+    stds are `np.mean` and `np.std` of each metric's fields as a 1-D array,
+    and each random list's means are those of its `_run_fits` rows, bit for
+    bit: a reduction over the rows at once sums in another order."""
+    # 12 training rows of d = 8 a fit, for the concept and the random lists
+    monkeypatch.setattr(experiment, "TASK_BYTES", 13 * 12 * 8 * 8)
+    store, cfg = gaussian_store, quick_cfg(iterations=37, random_list_size=12)
+    rc = random_concept(store, 12, seed=4, name="c12")
+
+    def alone(i):
+        split = make_split(rc, store, i, cfg.master_seed)
+        scores = score(train(split, store, cfg.train), store, split.test_rows)
+        fit = evaluate_scores(scores, split.test_labels(), cfg.threshold)
+        return [getattr(fit, name) for name in METRIC_NAMES]
+
+    fits = [alone(i) for i in range(cfg.iterations)]
+    cols = {name: np.array([f[k] for f in fits]) for k, name in enumerate(METRIC_NAMES)}
+    null_means = []
+    for k in range(cfg.random_list_count):
+        rl = random_concept(store, cfg.random_list_size, seed=cfg.master_seed,
+                            name=f"random-{k:04d}")
+        rows = experiment._run_fits(store, rl, cfg, range(cfg.iterations))
+        null_means.append({name: float(np.mean(np.array(rows[:, j].tolist())))
+                           for j, name in enumerate(METRIC_NAMES)})
+    for workers in (1, 2):
+        agg = run_concept(store, rc, cfg, workers=workers)
+        assert_same(agg.metrics, np.array(fits))
+        # float == is exact, and no mean or std here is -0.0 or NaN
+        assert agg.means == {name: float(np.mean(col)) for name, col in cols.items()}
+        assert agg.stds == {name: float(np.std(col, ddof=1))
+                            for name, col in cols.items()}
+        assert run_null(store, cfg, workers=workers).per_list == tuple(null_means)
+    assert pools.sizes == [2, 2]
+    assert pools.items == 3 + cfg.random_list_count * 3
 
 
 def test_an_oversize_random_list_raises_before_any_fit(monkeypatch):
@@ -423,7 +487,9 @@ def test_the_pool_holds_a_window_of_tasks_not_the_task_list(
 
     monkeypatch.setattr(experiment, "_aggregate", spy)
     forked = experiment.run_embedding(gaussian_store, cfg, [rc], null=True, workers=2)
-    assert forked == serial
+    assert len(forked[0]) == len(serial[0]) == 1
+    assert_same_aggregate(forked[0][0], serial[0][0])
+    assert forked[1] == serial[1]
     assert pools.items == 48
     assert 12 < handed[0] <= 12 + experiment.IN_FLIGHT_PER_WORKER * 2
 
