@@ -3,8 +3,8 @@ random-list null distributions, and empirical p-values.
 
 Every list, a concept or a random list, is cut into tasks of consecutive
 iterations holding at most TASK_BYTES of training rows, and each task trains
-its fits in stacks of at most `perceptron.STACK_BYTES` (`train_many`, bitwise
-equal to one-by-one training). Both cuts depend on the list's size and the
+its fits in stacks of at most STACK_BYTES (`train_many`, bitwise equal to
+one-by-one training). One `_cut` makes both from the list's size and the
 embedding's dimension alone, so tasks and results are identical whatever the
 worker count; each task returns a metric row per fit, read in task order.
 """
@@ -27,7 +27,7 @@ from .concepts import (
 )
 from .embeddings import EmbeddingStore, normalize
 from .metrics import METRIC_NAMES, evaluate_scores
-from .perceptron import TrainConfig, score, stack_size, train, train_many
+from .perceptron import TrainConfig, score, train, train_many
 from .splits import make_split, train_positives
 
 
@@ -76,10 +76,22 @@ class NullDistribution:
 # iterations as 15 tasks of 66-67.
 TASK_BYTES = 64 * 1024 * 1024
 
+# Stacking pays while a stack's float64 training matrices and the epoch's
+# other arrays stay in L2, where a fit is mostly numpy call overhead that
+# the K models share. Per-fit time of `train_many`, d = 300, 2-vCPU Xeon
+# with 2 MiB of L2 a core, stacks of K over K': n = 54, 8/16: 0.84x; n = 120,
+# 2/1: 0.76x; n = 184, 2/1: 0.73x; n = 232, 2/1 (1.06 MiB): 0.80-0.88x;
+# n = 320, 2/1 (1.46 MiB): 1.00x; n = 368, 2/1 (1.68 MiB): 1.07-1.12x.
+# STACK_BYTES stays below that break-even: a fit of more than half of it
+# (n > 218 words at d = 300) trains alone, though 2/1 still pays to ~300.
+STACK_BYTES = 1024 * 1024
 
-def _cut(run, k: int) -> list:
-    """`run` cut into ceil(len(run) / k) consecutive slices, near-equal and
-    each at most k long."""
+
+def _cut(run, size: int, dimension: int, budget: int) -> list:
+    """`run`, iterations of a `size`-word list, cut into the fewest
+    consecutive, near-equal slices whose fits' float64 training rows each
+    fit in `budget` bytes; a fit over the budget is a slice of its own."""
+    k = max(1, budget // (2 * train_positives(size) * dimension * 8))
     n, parts = len(run), -(-len(run) // k)
     return [run[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
 
@@ -87,13 +99,13 @@ def _cut(run, k: int) -> list:
 def _run_fits(
     store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, run
 ) -> np.ndarray:
-    """Split, train and score the iterations `run` in stacks of `stack_size`:
-    a float64 row of METRIC_NAMES per iteration. A failed stack is retrained
-    one fit at a time from the same splits, so its error is the serial one."""
-    metrics = np.empty((len(run), len(METRIC_NAMES)))
-    k = stack_size(2 * train_positives(resolved.size), store.dimension)
-    for pos in _cut(range(len(run)), k):  # positions in `run`
-        splits = [make_split(resolved, store, run[p], cfg.master_seed) for p in pos]
+    """Split, train and score the iterations `run` in stacks (`_cut` at
+    STACK_BYTES): a float64 row of METRIC_NAMES per iteration, in `run`'s
+    order. A failed stack is retrained one fit at a time from the same
+    splits, so its error is the serial one."""
+    rows = []
+    for stack in _cut(run, resolved.size, store.dimension, STACK_BYTES):
+        splits = [make_split(resolved, store, i, cfg.master_seed) for i in stack]
         models = None
         if len(splits) > 1:
             try:
@@ -105,13 +117,13 @@ def _run_fits(
                 model = train(split, store, cfg.train) if models is None else models[j]
                 scores = score(model, store, split.test_rows)
                 fit = evaluate_scores(scores, split.test_labels(), cfg.threshold)
-                metrics[pos[j]] = [getattr(fit, name) for name in METRIC_NAMES]
             except Exception as exc:
                 raise RuntimeError(
                     f"iteration {split.iteration_index} of concept "
                     f"{resolved.concept.name!r} failed: {exc}"
                 ) from exc
-    return metrics
+            rows.append([getattr(fit, name) for name in METRIC_NAMES])
+    return np.array(rows)
 
 
 # A pool worker's (store, lists, cfg), appended by the pool's initializer.
@@ -178,9 +190,9 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
                        name=f"random-{k:04d}")
         for k in range(cfg.random_list_count if null else 0)
     ]
-    work, d = (store, lists, cfg), store.dimension
+    work = (store, lists, cfg)
     tasks = [(c, run) for c, rc in enumerate(lists) for run in _cut(
-        range(cfg.iterations), stack_size(2 * train_positives(rc.size), d, TASK_BYTES))]
+        range(cfg.iterations), rc.size, store.dimension, TASK_BYTES)]
     workers = min(workers, len(tasks))
     if workers > 1 and "fork" not in mp.get_all_start_methods():
         warnings.warn("cannot fork worker processes here; running on 1 worker",

@@ -76,24 +76,6 @@ def train(
     return train_many([split], store, cfg)[0]
 
 
-# Stacking pays while a stack's float64 training matrices and the epoch's
-# other arrays stay in L2, where a fit is mostly numpy call overhead that
-# the K models share. Per-fit time of `train_many`, d = 300, 2-vCPU Xeon
-# with 2 MiB of L2 a core, stacks of K over K': n = 54, 8/16: 0.84x; n = 120,
-# 2/1: 0.76x; n = 184, 2/1: 0.73x; n = 232, 2/1 (1.06 MiB): 0.80-0.88x;
-# n = 320, 2/1 (1.46 MiB): 1.00x; n = 368, 2/1 (1.68 MiB): 1.07-1.12x.
-# STACK_BYTES stays below that break-even: a fit of more than half of it
-# (n > 218 words at d = 300) trains alone, though 2/1 still pays to ~300.
-STACK_BYTES = 1024 * 1024
-
-
-def stack_size(train_rows: int, dimension: int, budget: int = STACK_BYTES) -> int:
-    """Fits of `train_rows` rows of `dimension` float64 values whose
-    training matrices fit in `budget` bytes, at least 1; 1 means train them
-    one at a time."""
-    return max(1, budget // (train_rows * dimension * 8))
-
-
 def train_many(
     splits, store: EmbeddingStore, cfg: TrainConfig = TrainConfig()
 ) -> list[PerceptronModel]:

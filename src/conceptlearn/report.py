@@ -9,6 +9,8 @@ key order, fixed float formatting.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict
 
@@ -119,14 +121,14 @@ def eval_report_csv(
     null: NullDistribution,
     cfg: ExperimentConfig,
 ) -> str:
-    lines = [f"# embedding = {embedding_name}"]
-    lines += config_header(cfg)
-    lines.append("list,size," + ",".join(METRIC_NAMES) + ",p_auc")
+    """The eval table as CSV, a field quoted only where RFC 4180 requires it."""
+    out = io.StringIO()
+    out.write("\n".join([f"# embedding = {embedding_name}", *config_header(cfg)]) + "\n")
+    table = csv.writer(out, lineterminator="\n")
+    table.writerow(["list", "size", *METRIC_NAMES, "p_auc"])
     for label, size, row, p in eval_rows(aggregates, null):
-        lines.append(
-            ",".join([label, str(size)] + _metric_cells(row) + [p.replace("< ", "<")])
-        )
-    return "\n".join(lines) + "\n"
+        table.writerow([label, size, *_metric_cells(row), p.replace("< ", "<")])
+    return out.getvalue()
 
 
 def eval_report_jsonl(

@@ -117,7 +117,7 @@ def wilcoxon_signed_rank(x, y, alternative: str = "two-sided") -> WilcoxonOutcom
         w_plus=w_plus,
         w_minus=w_minus,
         w_statistic=w_stat,
-        p_value=min(max(p, 0.0), 1.0),
+        p_value=p,
         method=method,
         alternative=alternative,
     )
@@ -142,7 +142,7 @@ def critical_value(n: int, alpha: float, two_sided: bool = False) -> int | None:
     tail = alpha / 2.0 if two_sided else alpha
     counts = null_distribution_counts(n)
     cdf = np.cumsum(counts) / 2.0**n
-    ok = np.flatnonzero(cdf <= tail + 1e-12)
+    ok = np.flatnonzero(cdf <= tail)
     if ok.size == 0:
         return None
     return int(ok[-1])

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import os
@@ -113,6 +114,23 @@ def test_eval_format_parity(workspace, tmp_path):
         means = by_name[cells[0]]["means"]
         for value, key in zip(cells[2:7], ("accuracy", "recall", "fpr", "precision", "auc")):
             assert value == f"{means[key]:.3f}"
+
+
+def test_a_csv_report_quotes_a_concept_name_holding_a_comma_or_a_quote(
+    workspace, tmp_path
+):
+    ws, _ = workspace
+    m = ws / "quoted.ini"
+    m.write_text(
+        f"[embeddings]\ngauss = {ws / 'emb.txt'}\n"
+        f"[concepts]\nfoo,bar = {ws / 'ca.txt'}\n\"q\" = {ws / 'cb.txt'}\n"
+    )
+    out = tmp_path / "o"
+    assert main(["eval", str(m), "--format", "csv"] + quick_args(out)) == 0
+    with open(out / "gauss-eval.csv", newline="") as f:
+        rows = list(csv.reader(l for l in f if not l.startswith("#")))
+    assert [len(r) for r in rows] == [8] * 5
+    assert [r[0] for r in rows] == ["list", "foo,bar", '"q"', "random(max)", "random(avg)"]
 
 
 def test_eval_reruns_byte_identical(workspace, tmp_path):

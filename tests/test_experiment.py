@@ -113,7 +113,7 @@ def test_aggregate_shape(gaussian_store):
 
 def test_run_concept_worker_independence(pools, monkeypatch):
     # d = 300 and 16 fits a task: the 54-word concept's 50 iterations are
-    # four tasks of 12 or 13, each two stacks (`stack_size` 8)
+    # four tasks of 12 or 13, each two stacks (at most 8 under STACK_BYTES)
     monkeypatch.setattr(experiment, "TASK_BYTES", 16 * 54 * 300 * 8)
     store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
     cfg = quick_cfg(iterations=50)
@@ -190,6 +190,34 @@ def test_run_concept_failed_fit_raises_the_serial_error(
     assert pools.sizes == [2]
     assert str(serial.value) == f"iteration {index} of concept 'c10' failed: {message}"
     assert splits == list(range(cfg.iterations))  # one draw per fit
+
+
+def test_a_failed_stack_raises_its_first_failing_iterations_own_error(
+    gaussian_store, monkeypatch
+):
+    """The stack trainer's error is not the one raised: the stack is
+    retrained one fit at a time, up to the first fit that fails."""
+    rc = random_concept(gaussian_store, 10, seed=3, name="c10")
+    cfg = quick_cfg(iterations=6)
+    stacks, trained = [], []
+
+    def failing_many(splits, *args):
+        stacks.append([s.iteration_index for s in splits])
+        raise FloatingPointError("the stack's own error")
+
+    def train_one(split, *args):
+        trained.append(split.iteration_index)
+        if split.iteration_index == 3:
+            raise FloatingPointError("iteration 3's own error")
+        return train(split, *args)
+
+    monkeypatch.setattr(experiment, "train_many", failing_many)
+    monkeypatch.setattr(experiment, "train", train_one)
+    with pytest.raises(RuntimeError) as failed:
+        experiment._run_fits(gaussian_store, rc, cfg, range(cfg.iterations))
+    assert stacks == [list(range(6))]  # d = 8: the six iterations are one stack
+    assert trained == [0, 1, 2, 3]
+    assert str(failed.value) == "iteration 3 of concept 'c10' failed: iteration 3's own error"
 
 
 def test_run_concept_normalize_flag(gaussian_store):
@@ -283,7 +311,8 @@ def test_the_pool_takes_one_task_at_a_time(pools, monkeypatch):
     """A concept, then two null lists at the end of the task list, each cut
     into seven two-fit tasks: every task is its own work item, so the null
     lists are not batched onto one worker."""
-    # d = 300: a 120-word list trains one fit at a time (`stack_size` 1)
+    # d = 300: a 120-word list's fits stack by 3 under STACK_BYTES, so a
+    # two-fit task is one stack
     monkeypatch.setattr(experiment, "TASK_BYTES", 2 * 120 * 300 * 8)
     store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
     rc = random_concept(store, 120, seed=2, name="c120")
@@ -521,7 +550,7 @@ def spy_tasks_and_stacks(monkeypatch):
 
 def test_the_training_stacks_are_the_same_at_any_worker_count(monkeypatch):
     """A 54-word list at d = 300, at 9 fits a task, trains its 25 iterations
-    as tasks of 8, 8 and 9, and those as stacks of at most 8 (`stack_size`),
+    as tasks of 8, 8 and 9, and those as stacks of at most 8 (STACK_BYTES),
     whatever the worker count."""
     monkeypatch.setattr(experiment, "TASK_BYTES", 9 * 54 * 300 * 8)
     store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)

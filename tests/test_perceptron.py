@@ -18,9 +18,9 @@ from conceptlearn import (
 from conceptlearn.perceptron import (
     PerceptronModel,
     cross_entropy,
-    stack_size,
     train_many,
 )
+from conceptlearn.experiment import STACK_BYTES, TASK_BYTES, _cut
 from conftest import rows_of
 
 
@@ -353,11 +353,20 @@ def test_train_many_raises_on_non_finite_loss(gaussian_store):
             train_many(splits, huge, TrainConfig())
 
 
+def assert_cut_at(k, size, dimension, budget=STACK_BYTES):
+    """`_cut` slices a `size`-word list's iterations at most k fits long: a
+    run of k iterations is one slice, a run of k + 1 two."""
+    assert [len(s) for s in _cut(range(k), size, dimension, budget)] == [k]
+    assert len(_cut(range(k + 1), size, dimension, budget)) == 2
+
+
 def test_stack_size_from_training_matrix_bytes():
-    assert stack_size(54, 300) == 8  # 127 KiB per fit, 1 MiB per stack
-    assert stack_size(108, 300) == 4
-    assert stack_size(184, 300) == 2
-    assert stack_size(232, 300) == 1  # 544 KiB: train one at a time
-    assert stack_size(400, 300) == 1  # over the budget, still one fit
-    assert stack_size(2, 1) == 65536
-    assert stack_size(400, 300, 64 * 1024 * 1024) == 69  # another budget
+    assert_cut_at(8, 54, 300)  # 127 KiB per fit, 1 MiB per stack
+    assert_cut_at(4, 108, 300)
+    assert_cut_at(2, 184, 300)
+    assert_cut_at(1, 232, 300)  # 544 KiB: train one at a time
+    assert_cut_at(1, 400, 300)  # over the budget, still one fit
+    assert_cut_at(65536, 2, 1)
+    assert_cut_at(69, 400, 300, TASK_BYTES)  # a task's budget
+    # near-equal slices: 10^5 iterations at 65,536 a slice are two halves
+    assert [len(s) for s in _cut(range(10**5), 2, 1, STACK_BYTES)] == [50000] * 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,3 +294,28 @@ def test_critical_values_against_textbook():
         critical_value(10, 0.02)
     with pytest.raises(ValueError):
         critical_value(31, 0.05)
+
+
+def test_every_critical_value_from_exact_counts():
+    """All 116 critical values (n in 2..30, both alphas, both sidednesses)
+    equal the largest w whose exact tail count, a tie-free subset sum over
+    the ranks 1..n, is at most alpha (alpha / 2 two-sided) of the 2^n
+    sign assignments."""
+    checked = 0
+    for n in range(2, 31):
+        counts = [1] + [0] * (n * (n + 1) // 2)
+        for r in range(1, n + 1):
+            for s in range(len(counts) - 1, r - 1, -1):
+                counts[s] += counts[s - r]
+        for alpha in (Fraction(1, 100), Fraction(1, 20)):
+            for two_sided in (False, True):
+                tail = alpha / 2 if two_sided else alpha
+                expected, below = None, 0
+                for w, count in enumerate(counts):
+                    below += count
+                    if Fraction(below, 2**n) > tail:
+                        break
+                    expected = w
+                assert critical_value(n, float(alpha), two_sided) == expected
+                checked += 1
+    assert checked == 116
