@@ -161,21 +161,20 @@ def _prepare(spec: EmbeddingSourceSpec, cfg, concepts=(), null: bool = True):
     return store, resolved
 
 
-def _preflight(specs, cfg, concepts, null: bool = True) -> None:
-    """Before the first fit, `_prepare` each of `specs` (the embeddings after
-    a command's first) and free it before the next load, so a bad later
-    embedding fails before any fit. A miss writes the cache entry that the
-    command's own load of the file then hits."""
-    for spec in specs:
+def _runs(specs, cfg, workers: int, concepts=(), null: bool = True):
+    """The check-then-run sequence of `eval`, `null` and `compare`, after each
+    command's own checks: `_prepare` every embedding after the first and free
+    it, so an input error of a later embedding fails before the first fit
+    (its cache miss writes the entry the run then hits); then `_prepare` each
+    of `specs` in turn and yield its `run_embedding` of `concepts` and, with
+    `null`, the null. No matrix is held during the next load."""
+    for spec in specs[1:]:
         _prepare(spec, cfg, concepts, null)
-
-
-def _run_embedding(spec: EmbeddingSourceSpec, cfg, workers: int, concepts=(),
-                   null: bool = True):
-    """`_prepare` an embedding and run `concepts` and the null, as asked, as
-    one task list. The matrix is freed on return, before the next loads."""
-    store, resolved = _prepare(spec, cfg, concepts, null)
-    return run_embedding(store, cfg, resolved, null=null, workers=workers)
+    for spec in specs:
+        store, resolved = _prepare(spec, cfg, concepts, null)
+        run = run_embedding(store, cfg, resolved, null=null, workers=workers)
+        del store, resolved  # not held while the caller's next load runs
+        yield run
 
 
 def _write(outdir: str, filename: str, text: str) -> None:
@@ -185,21 +184,20 @@ def _write(outdir: str, filename: str, text: str) -> None:
 
 def cmd_eval(args) -> int:
     manifest, cfg = _command_inputs(args)
-    formats = args.format.split(",")
-    for fmt in formats:
+    requested = args.format.split(",")
+    for fmt in requested:
         if fmt not in EVAL_FORMATS:
             raise InputError(
                 f"unknown format {fmt!r} (choose from {','.join(EVAL_FORMATS)})"
             )
+    formats = [fmt for fmt in EVAL_FORMATS if fmt in requested]
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
-    _make_outdir(args.out, [f"{name}-eval.{fmt}" for name, _ in manifest.embeddings
-                            for fmt in formats])
-    _preflight([spec for _, spec in manifest.embeddings[1:]], cfg, concepts)
-    for name, spec in manifest.embeddings:
-        aggregates, null = _run_embedding(spec, cfg, args.workers, concepts)
-        for fmt, render in EVAL_FORMATS.items():
-            if fmt in formats:
-                _write(args.out, f"{name}-eval.{fmt}", render(name, aggregates, null, cfg))
+    names, specs = zip(*manifest.embeddings)
+    _make_outdir(args.out, [f"{name}-eval.{fmt}" for name in names for fmt in formats])
+    for name, (aggregates, null) in zip(names, _runs(specs, cfg, args.workers, concepts)):
+        for fmt in formats:
+            text = EVAL_FORMATS[fmt](name, aggregates, null, cfg)
+            _write(args.out, f"{name}-eval.{fmt}", text)
     return 0
 
 
@@ -208,7 +206,7 @@ def cmd_null(args) -> int:
     name = args.embedding or manifest.embeddings[0][0]
     spec = manifest.embedding(name)
     _make_outdir(args.out, [f"{name}-null.txt", f"{name}-null.jsonl"])
-    _, null = _run_embedding(spec, cfg, args.workers)
+    [(_, null)] = _runs([spec], cfg, args.workers)
     _write(args.out, f"{name}-null.txt", report.null_report_text(name, null, cfg))
     _write(args.out, f"{name}-null.jsonl", report.null_report_jsonl(name, null, cfg))
     return 0
@@ -216,26 +214,21 @@ def cmd_null(args) -> int:
 
 def cmd_compare(args) -> int:
     manifest, cfg = _command_inputs(args)
-    pair = [(n, manifest.embedding(n)) for n in (args.embedding_a, args.embedding_b)]
+    pair = (args.embedding_a, args.embedding_b)
+    specs = [manifest.embedding(n) for n in pair]
     if len(manifest.concepts) < 2:
         raise InputError(f"{args.manifest}: compare needs at least 2 concepts, "
                          f"got {len(manifest.concepts)}")
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
     filename = f"compare-{args.embedding_a}-{args.embedding_b}.txt"
     _make_outdir(args.out, [filename])
-    _preflight([pair[1][1]], cfg, concepts, null=False)
-    aucs = {}
-    for name, spec in pair:
-        aggregates, _ = _run_embedding(spec, cfg, args.workers, concepts, null=False)
-        aucs[name] = {agg.concept_name: agg.means["auc"] for agg in aggregates}
+    aucs = [  # one {concept: AUC} map per run, in manifest order
+        {agg.concept_name: agg.means["auc"] for agg in aggregates}
+        for aggregates, _ in _runs(specs, cfg, args.workers, concepts, null=False)
+    ]
+    outcome, note = compare_outcome(*(list(m.values()) for m in aucs), args.alternative)
     names = [n for n, _ in manifest.concepts]
-    a = [aucs[args.embedding_a][n] for n in names]
-    b = [aucs[args.embedding_b][n] for n in names]
-    outcome, note = compare_outcome(a, b, args.alternative)
-    text = report.compare_report_text(
-        args.embedding_a, args.embedding_b, names,
-        aucs[args.embedding_a], aucs[args.embedding_b], outcome, cfg, note,
-    )
+    text = report.compare_report_text(*pair, names, *aucs, outcome, cfg, note)
     _write(args.out, filename, text)
     sys.stdout.write(text)
     return 0

@@ -128,11 +128,12 @@ def _looks_like_header(line: str) -> bool:
 
 
 def cache_root() -> str:
-    """The directory of `load_cached`'s entries: `$XDG_CACHE_HOME/conceptlearn`,
+    """The directory of `load_cached`'s entries: `$XDG_CACHE_HOME/conceptlearn`
+    if that is absolute (the XDG Base Directory spec ignores a relative one),
     else `~/.cache/conceptlearn`."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "conceptlearn")
 
 

@@ -273,9 +273,10 @@ def empirical_p_value(observed: float, null_values) -> float:
 
 def format_p_value(observed: float, null_values) -> str:
     """Paper-style rendering: '< 1/(N+1)' when nothing in the null reaches
-    the observation, otherwise the add-one estimate to 3 decimals."""
+    the observation, otherwise the add-one estimate to 3 decimals; a p below
+    0.0005 (a floor too, from N = 2,000 on) prints as '< 0.001', not 0.000."""
     p = empirical_p_value(observed, null_values)
     floor = 1 / (1 + np.size(null_values))
-    if p == floor:
-        return f"< {floor:.3f}"
+    if p == floor or p < 0.0005:
+        return f"< {max(floor, 0.001):.3f}"
     return f"{p:.3f}"

@@ -173,14 +173,16 @@ def null_report_text(
     for label, row in (("random(max)", null.max_row), ("random(avg)", null.mean_row)):
         lines.append(f"{label:<{width}}" + "".join(f"{c:>10}" for c in _metric_cells(row)))
     lines.append("")
-    edges = np.linspace(0.0, 1.0, 21)
+    # edges k / 20, not linspace's (7 lie one ulp above k/20): a mean of 0.6
+    # counts in [0.60, 0.65). np.histogram closes the last bin; so does its label.
+    edges = np.arange(21) / 20
     for name in METRIC_NAMES:
         vals = np.array([m[name] for m in null.per_list])
         counts, _ = np.histogram(vals, bins=edges)
         lines.append(f"histogram {name} (bins of 0.05 over [0, 1], {vals.size} lists):")
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):
             if c:
-                lines.append(f"  [{lo:.2f}, {hi:.2f}): {c}")
+                lines.append(f"  [{lo:.2f}, {hi:.2f}{']' if hi == 1 else ')'}: {c}")
     return "\n".join(lines) + "\n"
 
 

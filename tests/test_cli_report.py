@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from conceptlearn import (
+    METRIC_NAMES,
     ExperimentConfig,
+    NullDistribution,
     TrainConfig,
     load_concept,
     normalize,
@@ -196,7 +198,7 @@ def test_eval_normalizes_once_per_embedding(workspace, tmp_path, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("command", ["eval", "compare", "null"])
 @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
 def test_each_embedding_is_freed_before_the_next_loads(
     workspace, tmp_path, monkeypatch, command, normalize
@@ -222,7 +224,10 @@ def test_each_embedding_is_freed_before_the_next_loads(
     names = ["gauss", "other"] if command == "compare" else []
     argv = [command, str(two), *names] + quick_args(tmp_path / "out") + normalize
     assert main(argv) == 0
-    assert alive == [0, 0, 0]  # the preflight load of `other`, then both runs
+    if command == "null":  # one embedding, so no preflight: one load
+        assert alive == [0]
+    else:  # the preflight load of `other`, then both runs
+        assert alive == [0, 0, 0]
 
 
 @pytest.mark.parametrize("flags, passes", [([], 1), (["--normalize"], 1)])
@@ -614,6 +619,24 @@ def test_null_command(workspace, tmp_path):
         json.loads(l) for l in (out / "gauss-null.jsonl").read_text().splitlines()
     ]
     assert sum(r["record"] == "null_list" for r in records) == 3
+
+
+def test_a_null_histogram_counts_each_mean_in_the_line_that_holds_it():
+    """Means on every k/20, 0 and 1 included: each is counted in the line
+    whose printed interval, [lo, hi) or the last, closed one, holds it."""
+    values = [k / 20 for k in range(21)]
+    per_list = tuple({name: v for name in METRIC_NAMES} for v in values)
+    null = NullDistribution(per_list=per_list, max_row=per_list[-1],
+                            mean_row=per_list[10], list_size=6)
+    text = report.null_report_text("g", null, ExperimentConfig())
+    for name in METRIC_NAMES:
+        section = text.split(f"histogram {name} ")[1].split("histogram ")[0]
+        lines = re.findall(r"  \[([\d.]+), ([\d.]+)([)\]]): (\d+)", section)
+        assert len(lines) == 20 and lines[-1][:3] == ("0.95", "1.00", "]")
+        for lo, hi, close, count in lines:
+            held = [v for v in values
+                    if float(lo) <= v < float(hi) or close == "]" and v == float(hi)]
+            assert int(count) == len(held)
 
 
 def test_compare_identical_embedding_reports_indistinguishable(workspace, tmp_path):

@@ -691,6 +691,20 @@ def test_a_changed_file_misses_whatever_its_size_and_mtime(
     assert len(list(vector_cache.rglob("*"))) == 3  # its directory and 2 files
 
 
+def test_a_relative_cache_root_is_ignored(vector_file, tmp_path, monkeypatch):
+    """A relative XDG_CACHE_HOME would move the cache with the working
+    directory: `~/.cache` takes its place."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", "rel")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert embeddings.cache_root() == str(tmp_path / ".cache" / "conceptlearn")
+    embeddings.load_cached(EmbeddingSourceSpec(path=str(vector_file)))
+    assert len(list((tmp_path / ".cache" / "conceptlearn").rglob("*.npy"))) == 1
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "damage", ["truncated npy", "empty npy", "float64 npy", "1-D npy", "missing words"]
 )
