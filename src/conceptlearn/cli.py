@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import os
 import sys
 from dataclasses import dataclass
@@ -85,11 +86,11 @@ def validate_manifest(manifest: RunManifest) -> None:
     """Fail fast on unreadable inputs before any training starts."""
     entries = [(f"embedding {name!r}", spec.path) for name, spec in manifest.embeddings]
     entries += [(f"concept {name!r}", path) for name, path in manifest.concepts]
-    problems = [
-        f"{entry}: {_file_problem(path) or f'no such file {path!r}'}"
-        for entry, path in entries
-        if not os.path.isfile(path)
-    ]
+    problems = []
+    for entry, path in entries:
+        if not os.path.isfile(path):  # a FIFO or a device exists, yet is no file
+            kind = "not a regular file" if os.path.exists(path) else "no such file"
+            problems.append(f"{entry}: {_file_problem(path) or f'{kind} {path!r}'}")
     if problems:
         raise InputError("; ".join(problems))
 
@@ -114,15 +115,28 @@ def _command_inputs(args) -> tuple[RunManifest, ExperimentConfig]:
     return manifest, cfg
 
 
-def _make_outdir(path: str, filenames) -> None:
-    """Create the report directory and check the reports a command will
-    write there: the last checks before the first load."""
+def _check_outdir(path: str, filenames) -> None:
+    """Refuse a report directory that `os.makedirs` could not create, for
+    want of a directory or of permission, and a report a command could not
+    write there: the last checks before the first load. `_runs` creates the
+    directory after the last input check."""
+    target = head = path.rstrip(os.sep) or os.sep  # `out/` names `out`
+    while not os.path.lexists(head):  # the deepest part of it that exists
+        head = os.path.dirname(head) or "."
+    if not os.path.isdir(head):
+        code = errno.EEXIST if head == target else errno.ENOTDIR
+        raise InputError(f"--out {path}: {os.strerror(code)}")
+    if head != target and not os.access(head, os.W_OK | os.X_OK):
+        raise InputError(f"--out {path}: {os.strerror(errno.EACCES)}")
+    for name in filenames if head == target else ():  # a new one holds none
+        _check_file(os.path.join(path, name))
+
+
+def _make_outdir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise InputError(f"--out {path}: {exc.strerror}") from None
-    for name in filenames:
-        _check_file(os.path.join(path, name))
 
 
 def _file_problem(path: str) -> str | None:
@@ -161,17 +175,20 @@ def _prepare(spec: EmbeddingSourceSpec, cfg, concepts=(), null: bool = True):
     return store, resolved
 
 
-def _runs(specs, cfg, workers: int, concepts=(), null: bool = True):
+def _runs(specs, cfg, workers: int, out: str, concepts=(), null: bool = True):
     """The check-then-run sequence of `eval`, `null` and `compare`, after each
     command's own checks: `_prepare` every embedding after the first and free
     it, so an input error of a later embedding fails before the first fit
     (its cache miss writes the entry the run then hits); then `_prepare` each
-    of `specs` in turn and yield its `run_embedding` of `concepts` and, with
-    `null`, the null. No matrix is held during the next load."""
+    of `specs` in turn, create the report directory `out` once the first has
+    passed its checks, and yield its `run_embedding` of `concepts` and, with
+    `null`, the null. So an input error leaves no `out` behind, and no
+    matrix is held during the next load."""
     for spec in specs[1:]:
         _prepare(spec, cfg, concepts, null)
     for spec in specs:
         store, resolved = _prepare(spec, cfg, concepts, null)
+        _make_outdir(out)
         run = run_embedding(store, cfg, resolved, null=null, workers=workers)
         del store, resolved  # not held while the caller's next load runs
         yield run
@@ -193,8 +210,9 @@ def cmd_eval(args) -> int:
     formats = [fmt for fmt in EVAL_FORMATS if fmt in requested]
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
     names, specs = zip(*manifest.embeddings)
-    _make_outdir(args.out, [f"{name}-eval.{fmt}" for name in names for fmt in formats])
-    for name, (aggregates, null) in zip(names, _runs(specs, cfg, args.workers, concepts)):
+    _check_outdir(args.out, [f"{name}-eval.{fmt}" for name in names for fmt in formats])
+    runs = _runs(specs, cfg, args.workers, args.out, concepts)
+    for name, (aggregates, null) in zip(names, runs):
         for fmt in formats:
             text = EVAL_FORMATS[fmt](name, aggregates, null, cfg)
             _write(args.out, f"{name}-eval.{fmt}", text)
@@ -205,8 +223,8 @@ def cmd_null(args) -> int:
     manifest, cfg = _command_inputs(args)
     name = args.embedding or manifest.embeddings[0][0]
     spec = manifest.embedding(name)
-    _make_outdir(args.out, [f"{name}-null.txt", f"{name}-null.jsonl"])
-    [(_, null)] = _runs([spec], cfg, args.workers)
+    _check_outdir(args.out, [f"{name}-null.txt", f"{name}-null.jsonl"])
+    [(_, null)] = _runs([spec], cfg, args.workers, args.out)
     _write(args.out, f"{name}-null.txt", report.null_report_text(name, null, cfg))
     _write(args.out, f"{name}-null.jsonl", report.null_report_jsonl(name, null, cfg))
     return 0
@@ -221,10 +239,11 @@ def cmd_compare(args) -> int:
                          f"got {len(manifest.concepts)}")
     concepts = [load_concept(path, c) for c, path in manifest.concepts]
     filename = f"compare-{args.embedding_a}-{args.embedding_b}.txt"
-    _make_outdir(args.out, [filename])
+    _check_outdir(args.out, [filename])
+    runs = _runs(specs, cfg, args.workers, args.out, concepts, null=False)
     aucs = [  # one {concept: AUC} map per run, in manifest order
         {agg.concept_name: agg.means["auc"] for agg in aggregates}
-        for aggregates, _ in _runs(specs, cfg, args.workers, concepts, null=False)
+        for aggregates, _ in runs
     ]
     outcome, note = compare_outcome(*(list(m.values()) for m in aucs), args.alternative)
     names = [n for n, _ in manifest.concepts]

@@ -273,10 +273,11 @@ def empirical_p_value(observed: float, null_values) -> float:
 
 def format_p_value(observed: float, null_values) -> str:
     """Paper-style rendering: '< 1/(N+1)' when nothing in the null reaches
-    the observation, otherwise the add-one estimate to 3 decimals; a p below
-    0.0005 (a floor too, from N = 2,000 on) prints as '< 0.001', not 0.000."""
+    the observation, the floor rounded up to 3 decimals so that it bounds
+    the estimate, otherwise the add-one estimate to 3 decimals; a p below
+    0.0005 prints as '< 0.001' too, never 0.000."""
     p = empirical_p_value(observed, null_values)
-    floor = 1 / (1 + np.size(null_values))
-    if p == floor or p < 0.0005:
-        return f"< {max(floor, 0.001):.3f}"
+    n = np.size(null_values)
+    if p == 1 / (1 + n) or p < 0.0005:
+        return f"< {-(-1000 // (n + 1)) / 1000:.3f}"  # at least 0.001
     return f"{p:.3f}"

@@ -82,14 +82,16 @@ def train_many(
     """Fit one model on each split's training half; the splits share their
     training labels.
 
-    Zero initialization and full-batch updates of all live models through one
+    Zero initialization and full-batch updates of the whole stack through one
     `loss_and_gradient` call per epoch. Each model keeps its own learning
     rate, halved whenever its epoch loss goes up, and stops once its loss
-    decrease drops below `early_stop_tol`. Every slice of a stack takes the
-    same BLAS calls and reductions as a stack of one, so a model is bitwise
-    the same whatever the other splits are. Deterministic in all inputs;
-    accumulation is in float64 regardless of the store's dtype. Raises
-    FloatingPointError for the first model whose loss turns non-finite.
+    decrease drops below `early_stop_tol`: a stopped model keeps its row at
+    learning rate 0, and the stack returns once every model has stopped.
+    Every slice of a stack takes the same BLAS calls and reductions as a
+    stack of one, so a model is bitwise the same whatever the other splits
+    are. Deterministic in all inputs; accumulation is in float64 regardless
+    of the store's dtype. Raises FloatingPointError for the first model whose
+    loss turns non-finite.
     """
     X = store.gather(np.stack([s.train_rows for s in splits]))
     # a label row per model: ufuncs on operands of one shape do not broadcast
@@ -98,35 +100,31 @@ def train_many(
     lr = np.full(len(splits), float(cfg.learning_rate))
     traces: list[list[float]] = [[] for _ in splits]
     models: list = [None] * len(splits)
-    live = list(range(len(splits)))  # the split of each stack row
     for epoch in range(cfg.epochs):
         loss, grad_theta, grad_bias = loss_and_gradient(X, y, theta, bias, cfg.l2)
-        keep = []
-        for j, (i, value) in enumerate(zip(live, loss.tolist())):
+        for i, (trace, value) in enumerate(zip(traces, loss.tolist())):
+            if models[i] is not None:  # stopped: its row idles at rate 0
+                continue
             if not math.isfinite(value):
                 raise FloatingPointError(
-                    f"non-finite training loss at epoch {epoch} (learning rate {lr[j]})"
+                    f"non-finite training loss at epoch {epoch} (learning rate {lr[i]})"
                 )
-            trace = traces[i]
             trace.append(value)
             if len(trace) > 1:
                 if value > trace[-2]:
-                    lr[j] *= 0.5
+                    lr[i] *= 0.5
                 elif trace[-2] - value < cfg.early_stop_tol:
-                    models[i] = PerceptronModel(theta[j], float(bias[j]), tuple(trace))
-                    continue
-            keep.append(j)
-        if len(keep) < len(live):
-            if not keep:
-                return models
-            live = [live[j] for j in keep]
-            X, y, theta, bias, lr = X[keep], y[keep], theta[keep], bias[keep], lr[keep]
-            grad_theta, grad_bias = grad_theta[keep], grad_bias[keep]
+                    # a view of `theta`, which no later update writes
+                    models[i] = PerceptronModel(theta[i], float(bias[i]), tuple(trace))
+                    lr[i] = 0.0
+        if all(m is not None for m in models):
+            return models
         theta = theta - lr[:, None] * grad_theta
         bias = bias - lr * grad_bias
-    for j, i in enumerate(live):
-        models[i] = PerceptronModel(theta[j], float(bias[j]), tuple(traces[i]))
-    return models
+    return [
+        PerceptronModel(theta[i], float(bias[i]), tuple(trace)) if m is None else m
+        for i, (m, trace) in enumerate(zip(models, traces))
+    ]
 
 
 def score(model: PerceptronModel, store: EmbeddingStore, rows) -> np.ndarray:

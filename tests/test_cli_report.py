@@ -562,6 +562,56 @@ def test_a_report_path_that_is_a_directory_fails_before_any_load(
     assert [p.name for p in out.iterdir()] == [report_name]
 
 
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_an_input_error_of_a_later_embedding_leaves_no_out_behind(
+    two_embeddings, tmp_path, capsys, command
+):
+    ws = two_embeddings.parent
+    lines = (ws / "other.txt").read_text().splitlines(keepends=True)
+    (ws / "other.txt").write_text("".join(lines[8:]))  # alpha keeps w008, w009
+    out = tmp_path / "out"
+    names = ["gauss", "other"] if command == "compare" else []
+    assert main([command, str(two_embeddings), *names] + quick_args(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: concept 'alpha' too small after vocabulary resolution (2 < 4)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under, message", [
+    ("/out", "Not a directory"), ("/", "File exists"),
+])
+def test_an_out_under_a_file_fails_before_any_load(
+    workspace, tmp_path, monkeypatch, capsys, under, message
+):
+    """`os.makedirs`' own message for the `--out`, before any load."""
+    from conceptlearn import cli
+
+    _, manifest = workspace
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    out = f"{tmp_path / 'taken'}{under}"
+    loads = []
+    monkeypatch.setattr(cli, "load_cached", loads.append)
+    assert main(["eval", str(manifest)] + quick_args(out)) == 1
+    assert loads == []
+    assert capsys.readouterr().err == f"error: --out {out}: {message}\n"
+
+
+def test_a_manifest_entry_that_is_not_a_regular_file_is_named_so(
+    workspace, tmp_path, capsys
+):
+    _, manifest = workspace
+    pipe = tmp_path / "pipe.txt"
+    os.mkfifo(pipe)
+    m = tmp_path / "fifo.ini"
+    m.write_text(manifest.read_text() + f"c = {pipe}\n")
+    assert main(["eval", str(m)] + quick_args(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: concept 'c': not a regular file {str(pipe)!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "null", "compare"])
 def test_a_zero_row_under_normalize_is_an_input_error_before_any_fit(
     two_embeddings, tmp_path, monkeypatch, capsys, command

@@ -339,6 +339,31 @@ def test_train_many_bitwise_equals_train(n):
     assert halved and stopped_apart
 
 
+def test_a_stack_keeps_its_shape_while_its_fits_stop_apart(monkeypatch):
+    import conceptlearn.perceptron as perceptron
+
+    vocab = [f"w{i:03d}" for i in range(148)]
+    store = random_gaussian_embedding(vocab, 30, seed=54)
+    rc = random_concept(store, 54, seed=1)
+    splits = [make_split(rc, store, i, 5) for i in range(7)]
+    cfg = STACK_CONFIGS[3]  # these fits stop at epochs 24 to 33
+    reference = [reference_train(s, store, cfg) for s in splits]
+    epochs = [a.epochs_run for a in reference]
+    assert len(set(epochs)) > 1 and max(epochs) < cfg.epochs
+    calls = []
+
+    def spy(X, *rest):
+        calls.append(X)
+        return loss_and_gradient(X, *rest)
+
+    monkeypatch.setattr(perceptron, "loss_and_gradient", spy)
+    models = train_many(splits, store, cfg)
+    assert all(X is calls[0] for X in calls)
+    assert len(calls) == max(epochs)
+    for a, b in zip(reference, models):
+        assert_same_model(a, b)
+
+
 def test_train_many_raises_on_non_finite_loss(gaussian_store):
     # |x| ~ 1e200: the second epoch's logits overflow
     huge = store_from(gaussian_store.vocabulary, gaussian_store.vectors * 1e200)
