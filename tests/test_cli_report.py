@@ -312,7 +312,8 @@ def test_eval_reports_survive_a_header_workers_a_task_cut_and_a_save(
     """Eval reports are byte-identical with and without a `V d` header line,
     at 1 and 2 workers, at the default TASK_BYTES and at one of two or
     three fits, and for the vector file that `save_embedding` writes from
-    the loaded float32 store: all 16 combinations."""
+    the loaded float32 store, whose headed copy has CRLF line ends: all 16
+    combinations."""
     from conceptlearn import experiment
     from conceptlearn.embeddings import EmbeddingSourceSpec, load_embedding
 
@@ -322,11 +323,12 @@ def test_eval_reports_survive_a_header_workers_a_task_cut_and_a_save(
     saved = ws / "saved.txt"
     save_embedding(load_embedding(EmbeddingSourceSpec(str(emb), lowercase=True)), str(saved))
     files[False, True] = saved
-    for source in (emb, saved):
+    for source, end in [(emb, "\n"), (saved, "\r\n")]:
         headed = ws / f"headed-{source.name}"
-        headed.write_text("120 6\n" + source.read_text())
+        headed.write_text("120 6\n" + source.read_text(), newline=end)
         files[True, source == saved] = headed
     assert saved.read_bytes() != emb.read_bytes()
+    assert files[True, True].read_bytes().count(b"\r\n") == 121
     reports = {}
     for (header, resaved), workers, task_bytes in itertools.product(
         files, ["1", "2"], [experiment.TASK_BYTES, 1000]

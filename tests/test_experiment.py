@@ -288,12 +288,16 @@ def test_separable_concept_learnable():
 
 
 def test_run_null_rows(gaussian_store):
-    cfg = quick_cfg()
+    cfg = quick_cfg(master_seed=11)
     null = run_null(gaussian_store, cfg)
     assert len(null.per_list) == cfg.random_list_count
+    # list 0 holds the strict maximum of a metric: a max_row that skipped
+    # the first list would read lower there
+    assert any(null.per_list[0][k] > max(m[k] for m in null.per_list[1:])
+               for k in METRIC_NAMES)
     for name in null.max_row:
-        assert null.max_row[name] >= null.mean_row[name]
-        assert null.max_row[name] >= max(m[name] for m in null.per_list) - 1e-15
+        assert null.max_row[name] == max(m[name] for m in null.per_list)
+        assert null.mean_row[name] == float(np.mean([m[name] for m in null.per_list]))
 
 
 def test_run_null_single_list(gaussian_store):
@@ -364,8 +368,8 @@ def test_the_aggregate_reduces_each_metric_of_fits_trained_alone(
     """37 iterations of a 12-word list at 13 fits a task run as tasks of 12,
     12 and 13. At 1 and 2 workers a concept's metric rows are the
     `evaluate_scores` fields of each iteration trained alone, its means and
-    stds are `np.mean` and `np.std` of each metric's fields as a 1-D array,
-    and each random list's means are those of its `_run_fits` rows, bit for
+    stds are `np.mean` and `np.std` of each metric's fields as a 1-D array
+    (at 2 iterations too), and each random list's means are those of its `_run_fits` rows, bit for
     bit: a reduction over the rows at once sums in another order."""
     # 12 training rows of d = 8 a fit, for the concept and the random lists
     monkeypatch.setattr(experiment, "TASK_BYTES", 13 * 12 * 8 * 8)
@@ -397,6 +401,10 @@ def test_the_aggregate_reduces_each_metric_of_fits_trained_alone(
         assert run_null(store, cfg, workers=workers).per_list == tuple(null_means)
     assert pools.sizes == [2, 2]
     assert pools.items == 3 + cfg.random_list_count * 3
+    # at 2 iterations a std is still that of the 2 fields, not 0.0
+    two = run_concept(store, rc, dataclasses.replace(cfg, iterations=2))
+    assert any(two.stds.values())
+    assert two.stds == {name: float(np.std(col[:2], ddof=1)) for name, col in cols.items()}
 
 
 def test_an_oversize_random_list_raises_before_any_fit(monkeypatch):
@@ -436,6 +444,9 @@ def test_format_p_value():
     assert format_p_value(0.7, null) == "< 0.001"
     assert format_p_value(0.41, null) != "< 0.001"
     assert format_p_value(0.0, null) == "1.000"
+    # N = 3999 and one exceedance: p = 2/4000 = 0.0005 exactly, which prints
+    # as its estimate, not as '< 0.001'
+    assert format_p_value(0.5, np.r_[np.ones(1), np.zeros(3998)]) == "0.001"
 
 
 @pytest.mark.parametrize("n", [2, 10, 1000, 1999, 2000, 10000, 8, 11, 25])
