@@ -3,8 +3,9 @@ random-list null distributions, and empirical p-values.
 
 Every list, a concept or a random list, is cut into tasks of consecutive
 iterations holding at most TASK_BYTES of training rows, and each task trains
-its fits in stacks of at most STACK_BYTES (`train_many`, bitwise equal to
-one-by-one training). One `_cut` makes both from the list's size and the
+its fits in stacks of at most STACK_BYTES: every stack, of one fit or many,
+through `train_many`, bitwise equal to one-by-one training; `train` only
+retrains a failed stack. One `_cut` makes both from the list's size and the
 embedding's dimension alone, so tasks and results are identical whatever the
 worker count; each task returns a metric row per fit, read in task order.
 """
@@ -100,18 +101,16 @@ def _run_fits(
     store: EmbeddingStore, resolved: ResolvedConcept, cfg: ExperimentConfig, run
 ) -> np.ndarray:
     """Split, train and score the iterations `run` in stacks (`_cut` at
-    STACK_BYTES): a float64 row of METRIC_NAMES per iteration, in `run`'s
-    order. A failed stack is retrained one fit at a time from the same
-    splits, so its error is the serial one."""
+    STACK_BYTES), each one `train_many` call: a float64 row of METRIC_NAMES
+    per iteration, in `run`'s order. A stack whose call raises is retrained
+    one fit at a time through `train`, so its error is the serial one."""
     rows = []
     for stack in _cut(run, resolved.size, store.dimension, STACK_BYTES):
         splits = [make_split(resolved, store, i, cfg.master_seed) for i in stack]
-        models = None
-        if len(splits) > 1:
-            try:
-                models = train_many(splits, store, cfg.train)
-            except (FloatingPointError, ValueError):
-                pass  # retrained one at a time below
+        try:
+            models = train_many(splits, store, cfg.train)
+        except Exception:
+            models = None  # retrained one at a time below
         for j, split in enumerate(splits):
             try:
                 model = train(split, store, cfg.train) if models is None else models[j]

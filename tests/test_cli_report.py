@@ -1,4 +1,5 @@
 import csv
+import errno
 import itertools
 import json
 import os
@@ -162,7 +163,7 @@ def test_eval_normalizes_once_per_embedding(workspace, tmp_path, monkeypatch):
         return store
 
     monkeypatch.setattr(cli, "load_cached", tracking_load)
-    for attr in ("train", "train_many", "score"):
+    for attr in ("train_many", "score"):
         def spy(first, store, *rest, _fn=getattr(experiment, attr)):
             read.append((store.vectors, store.norms))
             return _fn(first, store, *rest)
@@ -413,8 +414,7 @@ def test_a_concept_a_later_embedding_lacks_fails_before_any_fit(
                  f"small = {tmp_path / 'small.txt'}\n"
                  f"[concepts]\nc = {tmp_path / 'c.txt'}\nd = {tmp_path / 'd.txt'}\n")
     fits = []
-    for attr in ("train", "train_many"):
-        monkeypatch.setattr(experiment, attr, lambda *a, _n=attr: fits.append(_n))
+    monkeypatch.setattr(experiment, "train_many", lambda *a: fits.append(a))
     names = ["big", "small"] if command == "compare" else []
     argv = [command, str(m), *names] + quick_args(tmp_path / "o")
     assert main(argv + ["--random-list-size", "30"]) == 1
@@ -434,8 +434,7 @@ def test_a_random_list_a_later_embedding_cannot_hold_fails_before_any_fit(
         keepends=True
     )[:60]))
     fits = []
-    for attr in ("train", "train_many"):
-        monkeypatch.setattr(experiment, attr, lambda *a, _n=attr: fits.append(_n))
+    monkeypatch.setattr(experiment, "train_many", lambda *a: fits.append(a))
     argv = ["eval", str(two_embeddings)] + quick_args(tmp_path / "o")
     assert main(argv + ["--random-list-size", "30"]) == 1
     assert fits == []
@@ -599,14 +598,49 @@ def test_an_out_under_a_file_fails_before_any_load(
     assert capsys.readouterr().err == f"error: --out {out}: {message}\n"
 
 
-def test_a_manifest_entry_that_is_not_a_regular_file_is_named_so(
-    workspace, tmp_path, capsys
+@pytest.mark.parametrize("denied", ["access", "makedirs"])
+def test_an_out_without_write_permission_is_named_so(
+    workspace, tmp_path, monkeypatch, capsys, denied
 ):
+    """A new `--out` under a directory it may not write to: refused by
+    `_check_outdir`'s `os.access` before any load, or, should that pass, by
+    `_make_outdir`'s `os.makedirs`. Either way no report is written."""
+    _, manifest = workspace
+    out = tmp_path / "new" / "out"
+    real_access, real_makedirs = os.access, os.makedirs
+
+    # tmp_path is the deepest part of `out` that exists
+    def access(path, mode, **kwargs):
+        return os.fspath(path) != str(tmp_path) and real_access(path, mode, **kwargs)
+
+    def makedirs(path, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_makedirs(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, denied, {"access": access, "makedirs": makedirs}[denied])
+    assert main(["eval", str(manifest)] + quick_args(out)) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: Permission denied\n"
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_manifest_entry_that_is_not_a_regular_file_is_named_so(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    from conceptlearn import cli
+
     _, manifest = workspace
     pipe = tmp_path / "pipe.txt"
     os.mkfifo(pipe)
     m = tmp_path / "fifo.ini"
     m.write_text(manifest.read_text() + f"c = {pipe}\n")
+
+    def guarded(path, *args, _fn=cli.load_concept):
+        if path == str(pipe):  # opening a FIFO no one writes would block
+            pytest.fail("load_concept was handed the FIFO")
+        return _fn(path, *args)
+
+    monkeypatch.setattr(cli, "load_concept", guarded)
     assert main(["eval", str(m)] + quick_args(tmp_path / "out")) == 1
     assert capsys.readouterr().err == (
         f"error: concept 'c': not a regular file {str(pipe)!r}\n"
@@ -863,8 +897,7 @@ def test_list_too_large_for_the_vocabulary_fails_before_any_fit(
     m = ws / "big.ini"
     m.write_text(manifest.read_text() + f"big = {big}\n")
     fits = []
-    for attr in ("train", "train_many"):
-        monkeypatch.setattr(experiment, attr, lambda *a, _n=attr: fits.append(_n))
+    monkeypatch.setattr(experiment, "train_many", lambda *a: fits.append(a))
     argv = [command, str(m)] + quick_args(tmp_path / "o") + flags
     assert main(argv) == 1
     assert fits == []
@@ -1133,8 +1166,7 @@ def test_an_embedding_name_with_a_path_separator_fails_before_any_fit(
     m.write_text(f"[embeddings]\n{name} = {ws / 'emb.txt'}\n"
                  f"[concepts]\nalpha = {ws / 'ca.txt'}\nbeta = {ws / 'cb.txt'}\n")
     fits = []
-    for attr in ("train", "train_many"):
-        monkeypatch.setattr(experiment, attr, lambda *a, _n=attr: fits.append(_n))
+    monkeypatch.setattr(experiment, "train_many", lambda *a: fits.append(a))
     files = set(ws.rglob("*"))
     names = [name, name] if command == "compare" else []
     assert main([command, str(m), *names] + quick_args(ws / "runs" / "o")) == 1

@@ -9,6 +9,7 @@ import pytest
 
 from conceptlearn import (
     METRIC_NAMES,
+    Concept,
     EmbeddingStore,
     ExperimentConfig,
     TrainConfig,
@@ -18,6 +19,7 @@ from conceptlearn import (
     make_split,
     random_concept,
     random_gaussian_embedding,
+    resolve,
     run_concept,
     run_null,
     score,
@@ -196,15 +198,16 @@ def test_run_concept_failed_fit_raises_the_serial_error(
 def test_a_failed_stack_raises_its_first_failing_iterations_own_error(
     gaussian_store, monkeypatch
 ):
-    """The stack trainer's error is not the one raised: the stack is
-    retrained one fit at a time, up to the first fit that fails."""
+    """The stack trainer's error, whatever its type, is not the one raised:
+    the stack is retrained one fit at a time, up to the first fit that
+    fails. A stack of one fit goes through the stack trainer first too."""
     rc = random_concept(gaussian_store, 10, seed=3, name="c10")
     cfg = quick_cfg(iterations=6)
     stacks, trained = [], []
 
     def failing_many(splits, *args):
         stacks.append([s.iteration_index for s in splits])
-        raise FloatingPointError("the stack's own error")
+        raise error("the stack's own error")
 
     def train_one(split, *args):
         trained.append(split.iteration_index)
@@ -214,11 +217,25 @@ def test_a_failed_stack_raises_its_first_failing_iterations_own_error(
 
     monkeypatch.setattr(experiment, "train_many", failing_many)
     monkeypatch.setattr(experiment, "train", train_one)
-    with pytest.raises(RuntimeError) as failed:
+    # d = 8: the six iterations are one stack; at 1 byte, six stacks of one
+    for stack_bytes, error, expected in [
+        (experiment.STACK_BYTES, FloatingPointError, [list(range(6))]),
+        (1, MemoryError, [[0], [1], [2], [3]]),
+    ]:
+        stacks.clear()
+        trained.clear()
+        monkeypatch.setattr(experiment, "STACK_BYTES", stack_bytes)
+        with pytest.raises(RuntimeError) as failed:
+            experiment._run_fits(gaussian_store, rc, cfg, range(cfg.iterations))
+        assert stacks == expected
+        assert trained == [0, 1, 2, 3]
+        assert str(failed.value) == "iteration 3 of concept 'c10' failed: iteration 3's own error"
+    stacks.clear()
+    trained.clear()
+    error = KeyboardInterrupt  # an interrupt is no failed fit: no retry
+    with pytest.raises(KeyboardInterrupt):
         experiment._run_fits(gaussian_store, rc, cfg, range(cfg.iterations))
-    assert stacks == [list(range(6))]  # d = 8: the six iterations are one stack
-    assert trained == [0, 1, 2, 3]
-    assert str(failed.value) == "iteration 3 of concept 'c10' failed: iteration 3's own error"
+    assert (stacks, trained) == ([[0]], [])
 
 
 def test_run_concept_normalize_flag(gaussian_store):
@@ -333,10 +350,12 @@ def test_the_pool_takes_one_task_at_a_time(pools, monkeypatch):
 
 
 def test_a_large_concept_trains_in_one_task_of_stacks(monkeypatch):
-    """A 150-word concept at d = 300 (360 KiB of training rows a fit) runs
-    its 20 iterations as one task, in ten stacks of 2."""
+    """A concept of 400 words, 150 of them in the vocabulary, at d = 300
+    (360 KiB of training rows a fit) runs its 20 iterations as one task, in
+    ten stacks of 2: the cut counts the rows a fit trains on."""
     store = random_gaussian_embedding([f"w{i:04d}" for i in range(400)], 300, seed=4)
-    rc = random_concept(store, 150, seed=2, name="c150")
+    words = {*store.vocabulary[::2][:150], *(f"oov{i}" for i in range(250))}
+    rc = resolve(Concept("c150", frozenset(words)), store)
     cfg = quick_cfg(iterations=20)
     tasks, stacks = spy_tasks_and_stacks(monkeypatch)
     serial = np.array([one_fit(store, rc, cfg, i) for i in range(cfg.iterations)])
@@ -373,7 +392,9 @@ def test_the_aggregate_reduces_each_metric_of_fits_trained_alone(
     bit: a reduction over the rows at once sums in another order."""
     # 12 training rows of d = 8 a fit, for the concept and the random lists
     monkeypatch.setattr(experiment, "TASK_BYTES", 13 * 12 * 8 * 8)
-    store, cfg = gaussian_store, quick_cfg(iterations=37, random_list_size=12)
+    # a threshold other than the default, which every fit must be scored at
+    store, cfg = gaussian_store, quick_cfg(iterations=37, random_list_size=12,
+                                           threshold=0.3)
     rc = random_concept(store, 12, seed=4, name="c12")
 
     def alone(i):
@@ -554,8 +575,9 @@ def test_the_pool_holds_a_window_of_tasks_not_the_task_list(
 
 
 def spy_tasks_and_stacks(monkeypatch):
-    """Lists that `_run_task` and the trainers, run in this process, append
-    each task and each trained stack's iteration indices to."""
+    """Lists that `_run_task` and `train_many`, run in this process, append
+    each task and each trained stack's iteration indices to. A run that
+    calls `train`, which only retrains a failed stack, fails the test."""
     tasks, stacks = [], []
 
     def spy_task(task, *args, _fn=experiment._run_task):
@@ -566,9 +588,8 @@ def spy_tasks_and_stacks(monkeypatch):
         stacks.append([s.iteration_index for s in splits])
         return _fn(splits, *args)
 
-    def spy_one(split, *args, _fn=experiment.train):
-        stacks.append([split.iteration_index])
-        return _fn(split, *args)
+    def spy_one(split, *args):
+        pytest.fail(f"iteration {split.iteration_index} trained outside a stack")
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiment, "_WORK", [])
