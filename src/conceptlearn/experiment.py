@@ -12,11 +12,9 @@ worker count; each task returns a metric row per fit, read in task order.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
@@ -193,10 +191,13 @@ def run_embedding(store: EmbeddingStore, cfg: ExperimentConfig, concepts=(),
     tasks = [(c, run) for c, rc in enumerate(lists) for run in _cut(
         range(cfg.iterations), rc.size, store.dimension, TASK_BYTES)]
     workers = min(workers, len(tasks))
-    if workers > 1 and "fork" not in mp.get_all_start_methods():
-        warnings.warn("cannot fork worker processes here; running on 1 worker",
-                      RuntimeWarning)
-        workers = 1
+    if workers > 1:  # a serial run never loads the pool's modules
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" not in mp.get_all_start_methods():
+            warnings.warn("cannot fork worker processes here; running on 1 worker",
+                          RuntimeWarning)
+            workers = 1
     pool = ProcessPoolExecutor(
         max_workers=workers, mp_context=mp.get_context("fork"),
         initializer=_WORK.append, initargs=(work,),

@@ -279,9 +279,7 @@ def test_one_pool_per_loaded_embedding_and_the_same_reports_at_any_worker_count(
     """Concepts and null lists of an embedding share one worker pool, no
     larger than its task list, and the reports do not depend on the worker
     count."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    from conceptlearn import experiment
+    import concurrent.futures
 
     # tasks per embedding: one per list, a concept or a null list (at d <= 6
     # a list's 4 iterations hold far less than a task's training bytes)
@@ -289,12 +287,12 @@ def test_one_pool_per_loaded_embedding_and_the_same_reports_at_any_worker_count(
 
     pools = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     names = ["gauss", "other"] if command == "compare" else []
     reports = {}
     for workers in (1, 2, 3):
@@ -447,13 +445,12 @@ def test_a_random_list_a_later_embedding_cannot_hold_fails_before_any_fit(
 def test_without_fork_a_multi_worker_run_is_serial_and_says_so_once(
     two_embeddings, tmp_path, monkeypatch
 ):
+    import concurrent.futures
     import multiprocessing
     import warnings
 
-    from conceptlearn import experiment
-
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", None)  # never started
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never started
     serial, forked = tmp_path / "serial", tmp_path / "forked"
     assert main(["eval", str(two_embeddings)] + quick_args(serial)) == 0
     with warnings.catch_warnings(record=True) as caught:
@@ -931,17 +928,30 @@ def _src_env():
     return env
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    env = _src_env()
-    code = (
-        "import sys, conceptlearn, conceptlearn.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "[]"
+def test_cli_import_leaves_scipy_unloaded(workspace, tmp_path):
+    """Importing the package and its CLI loads no scipy and no process pool,
+    and neither does a 1-worker eval; a 2-worker eval of 5 tasks loads the
+    pool's modules (and still no scipy), so the check sees a pool load."""
+    _, manifest = workspace
+    watched = ("scipy", "multiprocessing", "concurrent.futures")
+    pool = ["concurrent.futures", "multiprocessing"]
+    for workers, loaded in ((None, []), ("1", []), ("2", pool)):
+        run = "" if workers is None else (
+            "assert conceptlearn.cli.main(%r) == 0; " % (
+                ["eval", str(manifest)] + quick_args(tmp_path / f"w{workers}")
+                + ["--workers", workers]
+            )
+        )
+        code = (
+            "import sys, conceptlearn, conceptlearn.cli; " + run
+            + "print(sorted(w for w in %r if any("
+            "m == w or m.startswith(w + '.') for m in sys.modules)))" % (watched,)
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=_src_env(), capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.splitlines()[-1] == str(loaded), workers
 
 
 def test_a_normal_branch_compare_runs_without_scipy(workspace, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
@@ -44,7 +45,7 @@ def pools(monkeypatch):
             log.items += 1
             return super().submit(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return log
 
 
@@ -537,7 +538,7 @@ class InlinePool:
 
 
 def test_the_pool_is_no_larger_than_its_task_list(gaussian_store, monkeypatch):
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiment, "_WORK", [])  # what the initializer fills
     monkeypatch.setattr(InlinePool, "sizes", [])
     for lists in (1, 3):
@@ -553,8 +554,9 @@ def test_the_pool_holds_a_window_of_tasks_not_the_task_list(
 ):
     """At one fit a task, a 12-iteration concept and three 12-iteration
     random lists are 48 tasks. By the time the concept is aggregated a
-    2-worker pool has been handed its 12 tasks and at most a window more,
-    not all 48; the results are those of 1 worker."""
+    2-worker pool has been handed its 12 tasks and exactly a window more
+    (IN_FLIGHT_PER_WORKER a worker), not all 48; the results are those of
+    1 worker."""
     monkeypatch.setattr(experiment, "TASK_BYTES", 8 * 8 * 8)  # 8 rows at d = 8
     rc = random_concept(gaussian_store, 8, seed=1, name="c8")
     cfg = quick_cfg(iterations=12)
@@ -571,7 +573,24 @@ def test_the_pool_holds_a_window_of_tasks_not_the_task_list(
     assert_same_aggregate(forked[0][0], serial[0][0])
     assert forked[1] == serial[1]
     assert pools.items == 48
-    assert 12 < handed[0] <= 12 + experiment.IN_FLIGHT_PER_WORKER * 2
+    assert handed[0] == 12 + experiment.IN_FLIGHT_PER_WORKER * 2
+
+
+def test_a_task_error_cancels_the_tasks_submitted_and_unread():
+    """`_in_order` raises a task's error and cancels the rest of its window,
+    so the pool's shutdown does not run tasks whose outputs nobody reads."""
+    futures = []
+
+    class PendingPool:  # task 0 fails; no other task starts
+        def submit(self, fn, task):
+            futures.append(Future())
+            if task == 0:
+                futures[-1].set_exception(FloatingPointError("task 0"))
+            return futures[-1]
+
+    with pytest.raises(FloatingPointError, match="task 0"):
+        list(experiment._in_order(PendingPool(), range(10), window=3))
+    assert [f.cancelled() for f in futures] == [False, True, True]
 
 
 def spy_tasks_and_stacks(monkeypatch):
@@ -591,7 +610,7 @@ def spy_tasks_and_stacks(monkeypatch):
     def spy_one(split, *args):
         pytest.fail(f"iteration {split.iteration_index} trained outside a stack")
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiment, "_WORK", [])
     monkeypatch.setattr(experiment, "_run_task", spy_task)
     monkeypatch.setattr(experiment, "train_many", spy_many)
